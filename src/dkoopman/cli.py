@@ -44,6 +44,12 @@ def _spectrum_pairs(spectrum) -> list[list[float]]:
     return [[float(v.real), float(v.imag)] for v in spectrum.eigenvalues]
 
 
+def _zero_counts(report, n: int) -> dict:
+    """Numeric zero count next to its structural value 2n - r (connected graph)."""
+    return {"rank": report.rank, "n_zero": report.n_zero,
+            "n_zero_structural": 2 * n - report.rank}
+
+
 def cmd_experiment(cfg: RunConfig) -> int:
     rep = make_experiment(cfg.scenario, cfg.solver_gains(),
                           graph_preset=_resolve_graph(cfg),
@@ -61,14 +67,12 @@ def cmd_experiment(cfg: RunConfig) -> int:
 
     spectral = {
         "alpha_max": rep.spectral.alpha_max,
-        "n_zero": rep.spectral.n_zero,
+        **_zero_counts(rep.spectral, rep.instance.data.feature_dim),
         "semi_hurwitz": rep.spectral.semi_hurwitz,
         "zero_tol_M_tilde": rep.spectral.spectrum_M_tilde.zero_tol,
         "spectrum_M_tilde": _spectrum_pairs(rep.spectral.spectrum_M_tilde),
-        "zero_tol_M": (None if rep.spectral.spectrum_M is None
-                       else rep.spectral.spectrum_M.zero_tol),
-        "spectrum_M": (None if rep.spectral.spectrum_M is None
-                       else _spectrum_pairs(rep.spectral.spectrum_M)),
+        "zero_tol_M": rep.spectral.spectrum_M.zero_tol,
+        "spectrum_M": _spectrum_pairs(rep.spectral.spectrum_M),
     }
     dataio.write_json(out / "report.json", {
         "alpha": rep.alpha,
@@ -97,8 +101,7 @@ def cmd_alpha_sweep(cfg: RunConfig, thetas=None) -> int:
     inst = build_instance(cfg.scenario, _resolve_graph(cfg), cfg.dictionary)
     lap = laplacian(inst.graph)
     base = cfg.solver_gains()
-    report = spectral_report(inst.partition, inst.data, lap, base.k_P, base.k_I,
-                             include_spectrum_M=False)
+    report = spectral_report(inst.partition, inst.data, lap, base.k_P, base.k_I)
     n = inst.data.feature_dim
     record = base.t_max * n * n * 8 <= _HISTORY_BYTE_CAP
 
@@ -123,7 +126,7 @@ def cmd_alpha_sweep(cfg: RunConfig, thetas=None) -> int:
     dataio.atomic_write_text(out / "alpha_sweep.csv", "\n".join(lines) + "\n")
     dataio.write_json(out / "sweep.json", {
         "alpha_max": report.alpha_max,
-        "n_zero": report.n_zero,
+        **_zero_counts(report, n),
         "semi_hurwitz": report.semi_hurwitz,
         "thetas": list(thetas),
     })

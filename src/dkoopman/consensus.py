@@ -24,22 +24,26 @@ rho_max = max sqrt(1 + 2 alpha re(lambda) + alpha^2 |lambda|^2).
 An isospectral variant M~ (the mixed off-diagonal blocks replaced by
 +/- sqrt(k_I) bL^{1/2}) shares the characteristic polynomial of M but has
 a numerically benign kernel, so the spectral report evaluates the step
-bounds on M~'s eigenvalues; M itself is kept for diagnostics and the
+bounds on M~'s eigenvalues.  It never forms either 2np x 2np matrix: with
+V = range(X) of dimension r, both bX bX^T and bL leave V^p and its
+orthogonal complement invariant, so the spectrum splits into that of the
+2pr matrix built like M~ from the projected data, plus two closed-form
+roots per Laplacian eigenvalue with multiplicity n - r.  The dense
+assemblers stay as the reference for that split and for the
 spectrum-equality tests.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .edmd import LiftedData
 from .graphs import DisconnectedGraphError, Graph, Laplacian, is_connected, laplacian
-from .linalg import Spectrum, eigenvalues, frobenius_norm, psd_sqrt
+from .linalg import (ZERO_TOL_FACTOR, Spectrum, eigenvalues, frobenius_norm, psd_sqrt,
+                     range_basis)
 
-ZERO_TOL_FACTOR = 1e-9
 DIVERGENCE_GUARD = 1e12
 
 
@@ -162,15 +166,17 @@ class SpectralReport:
     """Spectra of the convergence matrices and the derived step-size bound.
 
     ``alpha_max``, ``n_zero`` and ``semi_hurwitz`` are evaluated on the
-    spectrum of M~; ``spectrum_M`` is None when the caller skipped the
-    second dense eigensolve.
+    spectrum of M~.  M and M~ are isospectral, so ``spectrum_M`` holds the
+    same eigenvalues with M's own zero cutoff.  ``rank`` is the rank r of
+    the data X; a connected graph gives exactly 2n - r zero eigenvalues.
     """
 
     spectrum_M_tilde: Spectrum
-    spectrum_M: Spectrum | None
+    spectrum_M: Spectrum
     alpha_max: float
     n_zero: int
     semi_hurwitz: bool
+    rank: int
 
     def rho_max(self, alpha: float) -> float:
         """Contraction factor bound for a step size alpha in (0, alpha_max)."""
@@ -187,25 +193,10 @@ def assemble_block_X(part: Partition, data: LiftedData) -> np.ndarray:
     return out
 
 
-def _laplacian_connected(L: np.ndarray) -> bool:
-    p = L.shape[0]
-    if p == 1:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in range(p):
-            if w != v and L[v, w] != 0 and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == p
-
-
 def _check_assembly_inputs(lap: Laplacian, k_P: float, k_I: float):
     if not (k_P > 0 and k_I > 0):
         raise ValueError("gains k_P and k_I must be positive")
-    if not _laplacian_connected(lap.matrix):
+    if not is_connected(lap):
         raise DisconnectedGraphError("communication graph must be connected")
 
 
@@ -281,27 +272,80 @@ def semi_hurwitz_check(spec: Spectrum) -> bool:
     return bool(np.all(spec.nonzero.real < 0.0))
 
 
-def spectral_report(part: Partition, data: LiftedData, lap: Laplacian,
-                    k_P: float, k_I: float, zero_tol_factor: float = ZERO_TOL_FACTOR,
-                    include_spectrum_M: bool = True) -> SpectralReport:
-    """Assemble the convergence matrices and evaluate the step-size analysis.
+def _restricted_pair(gram: np.ndarray, L: np.ndarray, root: np.ndarray,
+                     k_P: float, k_I: float) -> tuple[np.ndarray, np.ndarray]:
+    """M~ and M on one invariant subspace W^p, given the agents' Grams on W.
 
-    ``include_spectrum_M=False`` skips the dense eigensolve of M itself
-    (the bounds only need M~); use it on large instances where the report
-    is consumed internally.
+    ``gram`` is blockdiag(G_1..G_p) with k x k blocks, ``root`` = L^{1/2}.
     """
-    Mt = assemble_M_tilde(part, data, lap, k_P, k_I)
-    spec_t = eigenvalues(Mt, zero_tol=zero_tol_factor * frobenius_norm(Mt))
-    spec_m = None
-    if include_spectrum_M:
-        M = assemble_M(part, data, lap, k_P, k_I)
-        spec_m = eigenvalues(M, zero_tol=zero_tol_factor * frobenius_norm(M))
+    eye = np.eye(gram.shape[0] // L.shape[0])
+    bL = np.kron(L, eye)
+    broot = np.sqrt(k_I) * np.kron(root, eye)
+    top = -gram - k_P * bL
+    zero = np.zeros_like(gram)
+    return (np.block([[top, broot], [-broot, zero]]),
+            np.block([[top, bL], [-k_I * np.eye(gram.shape[0]), zero]]))
+
+
+def _quadratic_roots(mu: np.ndarray, k_P: float, k_I: float) -> np.ndarray:
+    """Both roots of lambda^2 + k_P mu lambda + k_I mu = 0 for each mu >= 0.
+
+    The larger root has no cancellation; the smaller one comes from the
+    product of the roots, k_I mu, or is the conjugate of a complex root.
+    """
+    b, c = k_P * mu, k_I * mu
+    disc = (b * b - 4.0 * c).astype(complex)
+    big = -0.5 * (b + np.sqrt(disc))
+    small = np.where(disc.real < 0.0, np.conj(big), c / np.where(big == 0.0, 1.0, big))
+    return np.concatenate([big, small])
+
+
+def spectral_report(part: Partition, data: LiftedData, lap: Laplacian,
+                    k_P: float, k_I: float,
+                    zero_tol_factor: float = ZERO_TOL_FACTOR) -> SpectralReport:
+    """Spectrum of M~ from its invariant subspaces, and the step-size analysis.
+
+    With Q an orthonormal basis of V = range(X) (rank r under the
+    ``pseudoinverse`` cutoff), M~ restricted to V^p is the 2pr matrix built
+    like M~ from Q^T X_i and L^{1/2} kron I_r; it is solved densely.  On the
+    complement, where the data Grams vanish, each Laplacian eigenvalue mu
+    contributes the two roots of lambda^2 + k_P mu lambda + k_I mu = 0, n - r
+    times each.  The zero cutoffs are ``zero_tol_factor`` times the
+    Frobenius norms of M~ and M, which the same split gives without forming
+    either matrix.
+    """
+    _check_assembly_inputs(lap, k_P, k_I)
+    L = lap.matrix
+    p, n = L.shape[0], data.feature_dim
+    if part.p != p:
+        raise ValueError(f"partition has {part.p} agents, Laplacian has {p}")
+    Q = range_basis(data.X)
+    r = Q.shape[1]
+    gram = np.zeros((p * r, p * r))
+    for i, (Xi, _) in enumerate(part.blocks(data)):
+        Xi_t = Q.T @ Xi
+        gram[i * r:(i + 1) * r, i * r:(i + 1) * r] = Xi_t @ Xi_t.T
+    mu, U = np.linalg.eigh(L)
+    mu[0] = 0.0  # the single zero eigenvalue of a connected graph, made exact
+    root = (U * np.sqrt(mu)) @ U.T
+    tilde_V, plain_V = _restricted_pair(gram, L, root, k_P, k_I)
+    tilde_perp, plain_perp = _restricted_pair(np.zeros((p, p)), L, root, k_P, k_I)
+
+    def zero_tol(on_V, on_perp):
+        return zero_tol_factor * float(np.sqrt(frobenius_norm(on_V) ** 2
+                                               + (n - r) * frobenius_norm(on_perp) ** 2))
+
+    tol_t = zero_tol(tilde_V, tilde_perp)
+    vals = np.concatenate([eigenvalues(tilde_V, zero_tol=tol_t).eigenvalues,
+                           np.repeat(_quadratic_roots(mu, k_P, k_I), n - r)])
+    spec_t = Spectrum(vals, tol_t)
     return SpectralReport(
         spectrum_M_tilde=spec_t,
-        spectrum_M=spec_m,
+        spectrum_M=Spectrum(vals, zero_tol(plain_V, plain_perp)),
         alpha_max=compute_alpha_max(spec_t),
         n_zero=spec_t.n_zero,
         semi_hurwitz=semi_hurwitz_check(spec_t),
+        rank=r,
     )
 
 
@@ -310,8 +354,7 @@ def resolve_alpha(gains: SolverGains, part: Partition, data: LiftedData,
     """Concrete step size: explicit alpha, or alpha_fraction * alpha_max."""
     if gains.alpha is not None:
         return gains.alpha
-    report = spectral_report(part, data, lap, gains.k_P, gains.k_I,
-                             include_spectrum_M=False)
+    report = spectral_report(part, data, lap, gains.k_P, gains.k_I)
     return gains.alpha_fraction * report.alpha_max
 
 
@@ -342,16 +385,7 @@ def _stack_states(states, part, data, graph):
 def step(states, graph: Graph, gains: SolverGains, part: Partition,
          data: LiftedData, alpha: float | None = None) -> list[AgentState]:
     """One synchronous round of the update law; neighbor reads are pre-round."""
-    if alpha is None:
-        alpha = gains.alpha
-    if alpha is None:
-        raise StepSizeError(
-            "gains use alpha_fraction; resolve the step size first (see resolve_alpha)")
-    K, R = _stack_states(states, part, data, graph)
-    blocks = part.blocks(data)
-    L = laplacian(graph).matrix
-    K_next, R_next = _step_arrays(K, R, L, blocks, gains.k_P, gains.k_I, alpha)
-    return [AgentState(K_next[i], R_next[i]) for i in range(graph.p)]
+    return iterate_rounds(states, graph, gains, part, data, 1, alpha)
 
 
 @dataclass(eq=False)

@@ -58,12 +58,18 @@ def build_graph(p: int, edges) -> Graph:
     return Graph(int(p), tuple(sorted(normalized)))
 
 
-def is_connected(graph: Graph) -> bool:
-    """Breadth-first reachability of every vertex from vertex 0."""
-    if graph.p == 1:
-        return True
-    adjacency = [[] for _ in range(graph.p)]
-    for i, j in graph.edges:
+def is_connected(graph: Graph | Laplacian) -> bool:
+    """Breadth-first reachability of every vertex from vertex 0.
+
+    A :class:`Laplacian` counts its nonzero off-diagonal entries as edges.
+    """
+    if isinstance(graph, Laplacian):
+        p = graph.matrix.shape[0]
+        edges = zip(*np.nonzero(np.triu(graph.matrix, 1)))
+    else:
+        p, edges = graph.p, graph.edges
+    adjacency = [[] for _ in range(p)]
+    for i, j in edges:
         adjacency[i].append(j)
         adjacency[j].append(i)
     seen = {0}
@@ -74,7 +80,7 @@ def is_connected(graph: Graph) -> bool:
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
-    return len(seen) == graph.p
+    return len(seen) == p
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -111,14 +110,26 @@ def pseudoinverse(a, rank_tol: float | None = None) -> np.ndarray:
     """
     arr = as_matrix(a)
     u, s, vt = np.linalg.svd(arr, full_matrices=False)
-    if rank_tol is None:
-        rank_tol = max(arr.shape) * _EPS * (float(s[0]) if s.size else 0.0)
-    if rank_tol < 0:
-        raise ValueError("rank_tol must be nonnegative")
-    keep = s > rank_tol
+    keep = s > _rank_cutoff(arr.shape, s, rank_tol)
     s_inv = np.zeros_like(s)
     s_inv[keep] = 1.0 / s[keep]
     return (vt.T * s_inv) @ u.T
+
+
+def range_basis(a) -> np.ndarray:
+    """Orthonormal basis of range(A), one column per singular value above
+    the default :func:`pseudoinverse` cutoff."""
+    arr = as_matrix(a)
+    u, s, _ = np.linalg.svd(arr, full_matrices=False)
+    return u[:, s > _rank_cutoff(arr.shape, s, None)]
+
+
+def _rank_cutoff(shape, s: np.ndarray, rank_tol: float | None) -> float:
+    if rank_tol is None:
+        return max(shape) * _EPS * (float(s[0]) if s.size else 0.0)
+    if rank_tol < 0:
+        raise ValueError("rank_tol must be nonnegative")
+    return rank_tol
 
 
 def psd_sqrt(a) -> np.ndarray:
@@ -153,6 +164,10 @@ def spectrum_distance(lhs, rhs) -> float:
         raise DimensionError(f"spectra differ in size: {a.size} vs {b.size}")
     if a.size == 0:
         return 0.0
+    # scipy.optimize takes half a second to import; only callers of this
+    # function pay for it
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())

@@ -233,7 +233,7 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
                     rollout_steps: int = 10, rollout_start: str = "last_train",
                     dictionary_spec: str = "vectorization",
                     init_mode: str = "zeros", init_seed: int = 0,
-                    include_spectrum_M: bool = True, record_mean: bool = False,
+                    record_mean: bool = False,
                     rank_tol: float | None = None) -> ExperimentReport:
     """Run the full pipeline and assemble all figure datasets.
 
@@ -252,8 +252,7 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
     inst = build_instance(scn, graph_preset, dictionary_spec,
                           extra_frames=rollout_steps)
     lap = laplacian(inst.graph)
-    spectral = spectral_report(inst.partition, inst.data, lap, gains.k_P, gains.k_I,
-                               include_spectrum_M=include_spectrum_M)
+    spectral = spectral_report(inst.partition, inst.data, lap, gains.k_P, gains.k_I)
     if gains.alpha is not None:
         alpha = gains.alpha
     else:

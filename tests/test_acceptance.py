@@ -50,8 +50,7 @@ def criterion2_setup():
                        saturation_gain=1.0, seed=5, burn_in=0)
     inst = build_instance(scn, "ring")
     lap = laplacian(inst.graph)
-    report = spectral_report(inst.partition, inst.data, lap, **DESK_GAINS,
-                             include_spectrum_M=False)
+    report = spectral_report(inst.partition, inst.data, lap, **DESK_GAINS)
     gains = SolverGains(**DESK_GAINS, alpha=0.5 * report.alpha_max,
                         t_max=20000, stop_tol=1e-10)
     init = initial_states(inst.graph.p, inst.data.feature_dim)
@@ -179,8 +178,7 @@ def test_criterion_9_single_agent_reduction():
     part = partition_data(data, [10])
     graph = preset_graph("ring", 1)
     lap = laplacian(graph)
-    report = spectral_report(part, data, lap, **DESK_GAINS,
-                             include_spectrum_M=False)
+    report = spectral_report(part, data, lap, **DESK_GAINS)
     alpha = 0.5 * report.alpha_max
     gains = SolverGains(**DESK_GAINS, alpha=alpha)
     states = initial_states(1, 4)

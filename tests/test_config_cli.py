@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +212,30 @@ class TestExperimentCommand:
         assert report["diverged"] is True
 
 
+    def test_structural_zero_count_keys(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = small_config(t_max=5, out_dir=str(out))
+        assert cli.main(["experiment", "--config", write_config(tmp_path, cfg)]) == 0
+        spectral = dataio.read_json(out / "report.json")["spectral"]
+        n = SMALL_SCENARIO["grid_side"] ** 2
+        assert spectral["rank"] == n  # N = 18 > n = 9 columns
+        assert spectral["n_zero"] == spectral["n_zero_structural"] == 2 * n - n
+        assert len(spectral["spectrum_M"]) == len(spectral["spectrum_M_tilde"])
+
+    def test_rich_dictionary_n_much_larger_than_N(self, tmp_path):
+        # monomials up to degree 3 of 16 grid values: n = 969 features from
+        # N = 6 columns, so the spectral report solves a 2pr = 36 block, not
+        # a 2np = 5814 one
+        out = tmp_path / "rich"
+        cfg = {"scale": "desk", "dictionary": "monomial:3",
+               "scenario": {"snapshots_per_agent": 2}, "t_max": 20,
+               "out_dir": str(out)}
+        assert cli.main(["experiment", "--config", write_config(tmp_path, cfg)]) == 0
+        spectral = dataio.read_json(out / "report.json")["spectral"]
+        assert spectral["rank"] == 6
+        assert spectral["n_zero"] == spectral["n_zero_structural"] == 2 * 969 - 6
+
+
 class TestAlphaSweepCommand:
     def test_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep"
@@ -229,6 +256,17 @@ class TestAlphaSweepCommand:
             assert float(row[1]) == pytest.approx(theta * sweep["alpha_max"])
         contraction = float(by_theta[0.5][6])
         assert 0.0 < contraction < 1.0
+
+    def test_structural_zero_count_keys(self, tmp_path):
+        out = tmp_path / "sweep"
+        cfg = small_config(t_max=5, out_dir=str(out))
+        rc = cli.main(["alpha-sweep", "--config", write_config(tmp_path, cfg),
+                       "--thetas", "0.5"])
+        assert rc == 0
+        sweep = dataio.read_json(out / "sweep.json")
+        n = SMALL_SCENARIO["grid_side"] ** 2
+        assert sweep["rank"] == n
+        assert sweep["n_zero"] == sweep["n_zero_structural"] == 2 * n - n
 
     def test_bad_thetas_flag(self, tmp_path):
         path = write_config(tmp_path, small_config(out_dir=str(tmp_path / "s")))
@@ -305,3 +343,15 @@ class TestRankTolConfig:
     def test_negative_rejected(self):
         with pytest.raises(ConfigError, match="rank_tol"):
             from_dict({"rank_tol": -1.0})
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # scipy.optimize is only needed by linalg.spectrum_distance, which the
+    # CLI never calls; importing it would add about half a second of set-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, dkoopman.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"

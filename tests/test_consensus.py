@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dkoopman.consensus import (AgentState, NotSemiHurwitzError, SolverGains,
                                 StepSizeError, assemble_M, assemble_M_tilde,
@@ -7,11 +9,12 @@ from dkoopman.consensus import (AgentState, NotSemiHurwitzError, SolverGains,
                                 initial_states, iterate_rounds, kkt_residual,
                                 manual_gains, partition_data, resolve_alpha, run,
                                 semi_hurwitz_check, spectral_report, step,
-                                tail_contraction)
+                                tail_contraction, _quadratic_roots)
 from dkoopman.edmd import LiftedData, centralized_solve
 from dkoopman.graphs import (DisconnectedGraphError, build_graph, laplacian,
                              preset_graph)
-from dkoopman.linalg import Spectrum, eigenvalues, spectrum_distance
+from dkoopman.linalg import Spectrum, eigenvalues, frobenius_norm, spectrum_distance
+from dkoopman.scenario import GridScenario, build_instance
 
 from test_graphs import random_graph
 
@@ -428,13 +431,19 @@ class TestSpectralReport:
         assert rep.n_zero == 1
         assert rep.spectrum_M is not None
 
-    def test_skipping_direct_spectrum(self):
-        data, part, graph = worked_instance()
-        lap = laplacian(graph)
-        full = spectral_report(part, data, lap, 1.0, 1.0)
-        lean = spectral_report(part, data, lap, 1.0, 1.0, include_spectrum_M=False)
-        assert lean.spectrum_M is None
-        assert lean.alpha_max == full.alpha_max
+    def test_spectrum_M_shares_the_multiset(self):
+        rng = np.random.default_rng(25)
+        data = make_data(rng, 3, [1, 2, 1])
+        part = partition_data(data, [1, 2, 1])
+        lap = laplacian(preset_graph("ring", 3))
+        rep = spectral_report(part, data, lap, 2.0, 1.5)
+        assert np.array_equal(rep.spectrum_M.eigenvalues,
+                              rep.spectrum_M_tilde.eigenvalues)
+        M = assemble_M(part, data, lap, 2.0, 1.5)
+        assert rep.spectrum_M.zero_tol == pytest.approx(1e-9 * frobenius_norm(M),
+                                                        rel=1e-12)
+        assert spectrum_distance(rep.spectrum_M.eigenvalues,
+                                 eigenvalues(M).eigenvalues) <= 1e-8
 
     def test_resolve_alpha_fraction(self):
         data, part, graph = worked_instance()
@@ -458,13 +467,92 @@ class TestSpectralReport:
         part = partition_data(data, [3, 3, 3])
         graph = preset_graph("ring", 3)
         lap = laplacian(graph)
-        rep = spectral_report(part, data, lap, 2.0, 1.0, include_spectrum_M=False)
+        rep = spectral_report(part, data, lap, 2.0, 1.0)
         alpha = 0.5 * rep.alpha_max
         gains = SolverGains(k_P=2.0, k_I=1.0, alpha=alpha, t_max=60000, stop_tol=1e-11)
         _, trace = run(initial_states(3, 2), graph, gains, part, data,
                        record_mean=True)
         assert trace.converged
         assert tail_contraction(trace.mean_history) <= rep.rho_max(alpha) + 0.02
+
+
+def _structural_case(p, n, widths, r, seed):
+    """Connected graph on p agents and n x N data of rank r = min(r, n, N)."""
+    rng = np.random.default_rng(seed)
+    N = sum(widths)
+    r = min(r, n, N)
+    # orthonormalized Gaussian factors around singular values in [0.5, 2]
+    # keep all r of them far above the rank cutoff and the zero cutoff
+    U = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    V = np.linalg.qr(rng.standard_normal((N, r)))[0]
+    X = (U * rng.uniform(0.5, 2.0, r)) @ V.T
+    data = LiftedData(X=X, Y=rng.standard_normal((n, N)))
+    part = partition_data(data, widths)
+    lap = laplacian(random_graph(rng, p, connected=True))
+    return data, part, lap, r
+
+
+class TestStructuralSpectrum:
+    """The reduced spectral report against the dense M~ as its oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda p: st.tuples(
+               st.just(p), st.integers(1, 12), st.lists(st.integers(1, 3), min_size=p,
+                                                        max_size=p))),
+           st.integers(0, 12), st.floats(0.1, 10.0), st.floats(0.1, 10.0),
+           st.integers(0, 2**31 - 1))
+    @example((3, 12, [1, 1, 1]), 3, 2.0, 1.0, 0)   # n > N, rank deficient
+    @example((4, 3, [3, 2, 2, 1]), 3, 5.0, 2.0, 1)  # n <= N, full row rank
+    @example((3, 5, [2, 2, 2]), 0, 1.0, 1.0, 2)     # X = 0: the V-part is empty
+    def test_matches_dense_M_tilde(self, shape, r, k_P, k_I, seed):
+        p, n, widths = shape
+        data, part, lap, r = _structural_case(p, n, widths, r, seed)
+        dense = eigenvalues(assemble_M_tilde(part, data, lap, k_P, k_I))
+        if p == 1 and r == 0:  # M~ is the zero matrix
+            with pytest.raises(NotSemiHurwitzError):
+                spectral_report(part, data, lap, k_P, k_I)
+            return
+        rep = spectral_report(part, data, lap, k_P, k_I)
+        assert rep.rank == r
+        assert rep.spectrum_M_tilde.zero_tol == pytest.approx(dense.zero_tol, rel=1e-12)
+        scale = max(1.0, float(np.abs(dense.eigenvalues).max()))
+        assert spectrum_distance(rep.spectrum_M_tilde.eigenvalues,
+                                 dense.eigenvalues) <= 1e-6 * scale
+        # The dense M~ carries the square-root error of psd_sqrt on the kernel
+        # of L kron I_n: its 2n - r zero eigenvalues come out near 1e-8, and
+        # in about one draw in ten some cross the cutoff (see
+        # test_dense_count_on_scenario_instances for instances where they do
+        # not).  So the oracle's zeros are its 2n - r smallest eigenvalues.
+        assert rep.n_zero == 2 * n - r
+        order = np.argsort(np.abs(dense.eigenvalues))
+        alpha = compute_alpha_max(Spectrum(dense.eigenvalues[order[2 * n - r:]], 0.0))
+        assert abs(rep.alpha_max - alpha) <= 1e-10 * alpha
+
+    def test_quadratic_roots_keep_their_digits(self):
+        # b^2 >> c: the subtraction form -b/2 + sqrt(b^2/4 - c) of the small
+        # root would cancel down to about four correct digits here
+        mu = np.array([0.0, 1.0, 3.0])
+        for k_P, k_I in ((1e4, 1e-4), (1.0, 10.0)):  # real roots, complex pairs
+            big, small = np.split(_quadratic_roots(mu, k_P, k_I), 2)
+            assert big[0] == small[0] == 0.0
+            assert np.allclose(big * small, k_I * mu, rtol=1e-14, atol=0.0)
+            assert np.allclose(big + small, -k_P * mu, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("snapshots", [8, 2])
+    def test_dense_count_on_scenario_instances(self, snapshots):
+        # the desk instance (n = 16 = r < N = 24) and its rank-deficient
+        # variant (r = N = 6 < n = 16)
+        scn = GridScenario(grid_side=4, num_agents=3, snapshots_per_agent=snapshots,
+                           blob_count=6, drift=(1.0, 0.0), saturation_gain=1.0,
+                           seed=5, burn_in=0)
+        inst = build_instance(scn, "ring")
+        lap = laplacian(inst.graph)
+        rep = spectral_report(inst.partition, inst.data, lap, 5.0, 2.0)
+        dense = eigenvalues(assemble_M_tilde(inst.partition, inst.data, lap, 5.0, 2.0))
+        n = inst.data.feature_dim
+        assert rep.rank == min(n, scn.num_samples)
+        assert rep.n_zero == dense.n_zero == 2 * n - rep.rank
+        assert rep.alpha_max == pytest.approx(compute_alpha_max(dense), rel=1e-10)
 
 
 class TestTailContraction:

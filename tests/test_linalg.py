@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from dkoopman.linalg import (DimensionError, NotPSDError, Spectrum, eigenvalues,
                              frobenius_norm, pseudoinverse, psd_sqrt,
-                             spectrum_distance)
+                             range_basis, spectrum_distance)
 
 
 def cofactor_det(a):
@@ -130,6 +130,20 @@ class TestPseudoinverse:
     def test_negative_rank_tol_rejected(self):
         with pytest.raises(ValueError):
             pseudoinverse(np.eye(2), rank_tol=-1.0)
+
+
+class TestRangeBasis:
+    def test_rank_deficient_projector(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 6))
+        q = range_basis(a)
+        assert q.shape == (5, 2)
+        assert np.allclose(q.T @ q, np.eye(2), atol=1e-12)
+        # Q Q^T is the projector A A^+ onto range(A)
+        assert np.allclose(q @ q.T, a @ pseudoinverse(a), atol=1e-12)
+
+    def test_zero_matrix_has_empty_basis(self):
+        assert range_basis(np.zeros((4, 3))).shape == (4, 0)
 
 
 class TestPsdSqrt:

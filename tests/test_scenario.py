@@ -132,7 +132,7 @@ class TestExperiment:
         assert part.widths == (7, 7, 6)
         graph = preset_graph("ring", 3)
         lap = laplacian(graph)
-        rep = spectral_report(part, data, lap, 5.0, 2.0, include_spectrum_M=False)
+        rep = spectral_report(part, data, lap, 5.0, 2.0)
         gains = SolverGains(k_P=5.0, k_I=2.0, alpha=0.5 * rep.alpha_max,
                             t_max=40000, stop_tol=1e-11)
         states, trace = run(initial_states(3, 9), graph, gains, part, data)
@@ -149,8 +149,7 @@ class TestExperiment:
                            saturation_gain=0.0, seed=2, burn_in=0)
         gains = SolverGains(k_P=2.0, k_I=1.0, alpha_fraction=0.5,
                             t_max=60000, stop_tol=1e-12)
-        report = make_experiment(scn, gains, rollout_steps=6,
-                                 include_spectrum_M=False)
+        report = make_experiment(scn, gains, rollout_steps=6)
         assert report.trace.converged
         assert report.rollout_error.max() <= 1e-8
 
@@ -174,10 +173,8 @@ class TestExperiment:
         scn = dataclasses.replace(DESK, snapshots_per_agent=2)
         gains = SolverGains(k_P=5.0, k_I=2.0, alpha_fraction=0.5, t_max=500,
                             stop_tol=1e-6)
-        last = make_experiment(scn, gains, rollout_steps=3,
-                               rollout_start="last_train", include_spectrum_M=False)
-        first = make_experiment(scn, gains, rollout_steps=3,
-                                rollout_start="first_train", include_spectrum_M=False)
+        last = make_experiment(scn, gains, rollout_steps=3, rollout_start="last_train")
+        first = make_experiment(scn, gains, rollout_steps=3, rollout_start="first_train")
         assert not np.array_equal(last.rollout_error, first.rollout_error)
         with pytest.raises(ValueError):
             make_experiment(scn, gains, rollout_start="middle")
