@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .consensus import SolverGains
+from .edmd import parse_dictionary
 from .scenario import GridScenario
 
 
@@ -42,8 +43,10 @@ SCALE_DEFAULTS = {
     },
 }
 
-_SCENARIO_KEYS = {"grid_side", "num_agents", "snapshots_per_agent", "blob_count",
-                  "drift", "diffusion", "saturation_gain", "seed", "burn_in"}
+_SCENARIO_INTS = {"grid_side", "num_agents", "snapshots_per_agent", "blob_count",
+                  "seed", "burn_in"}
+_SCENARIO_KEYS = _SCENARIO_INTS | {"drift", "diffusion", "saturation_gain"}
+_NUMBER = (int, float)
 
 
 @dataclass(frozen=True)
@@ -126,12 +129,15 @@ def from_dict(raw: dict) -> RunConfig:
 
     scn_dict = {**defaults["scenario"],
                 **_sub_dict(work, "scenario", _SCENARIO_KEYS, "")}
+    for key, value in scn_dict.items():
+        if key != "drift":
+            _expect(value, int if key in _SCENARIO_INTS else _NUMBER, f"scenario.{key}")
     if "drift" in scn_dict:
         drift = scn_dict["drift"]
         _expect(drift, (list, tuple), "scenario.drift")
         if len(drift) != 2:
             raise ConfigError("scenario.drift: expected [vx, vy]")
-        scn_dict["drift"] = tuple(float(v) for v in drift)
+        scn_dict["drift"] = tuple(float(_expect(v, _NUMBER, "scenario.drift")) for v in drift)
     try:
         scenario = GridScenario(**scn_dict)
     except (TypeError, ValueError) as exc:
@@ -152,7 +158,10 @@ def from_dict(raw: dict) -> RunConfig:
     if user_gains.get("alpha") is not None:
         gains_dict.pop("theta", None)  # explicit alpha replaces the scale default theta
     for key in ("k_P", "k_I"):
-        _expect(gains_dict.get(key), (int, float), f"gains.{key}")
+        _expect(gains_dict.get(key), _NUMBER, f"gains.{key}")
+    for key in ("alpha", "theta"):
+        if gains_dict.get(key) is not None:
+            _expect(gains_dict[key], _NUMBER, f"gains.{key}")
     gains = GainsConfig(k_P=float(gains_dict["k_P"]), k_I=float(gains_dict["k_I"]),
                         alpha=(None if gains_dict.get("alpha") is None
                                else float(gains_dict["alpha"])),
@@ -160,28 +169,34 @@ def from_dict(raw: dict) -> RunConfig:
                                else float(gains_dict["theta"])))
 
     t_max = int(_expect(work.pop("t_max", defaults["t_max"]), (int,), "t_max"))
-    stop_tol = float(_expect(work.pop("stop_tol", defaults["stop_tol"]),
-                             (int, float), "stop_tol"))
+    stop_tol = float(_expect(work.pop("stop_tol", defaults["stop_tol"]), _NUMBER,
+                             "stop_tol"))
 
     init_dict = _sub_dict(work, "init", {"mode", "seed"}, "")
     init = InitConfig(mode=str(init_dict.get("mode", "zeros")),
-                      seed=int(init_dict.get("seed", 0)))
+                      seed=_expect(init_dict.get("seed", 0), int, "init.seed"))
     if init.mode not in ("zeros", "random"):
         raise ConfigError(f"init.mode: must be 'zeros' or 'random', got {init.mode!r}")
+    if init.seed < 0:
+        raise ConfigError("init.seed: must be nonnegative")
 
     roll_dict = _sub_dict(work, "rollout", {"steps", "start"}, "")
-    rollout = RolloutConfig(steps=int(roll_dict.get("steps", 10)),
+    rollout = RolloutConfig(steps=_expect(roll_dict.get("steps", 10), int, "rollout.steps"),
                             start=str(roll_dict.get("start", "last_train")))
     if rollout.start not in ("last_train", "first_train"):
         raise ConfigError("rollout.start: must be 'last_train' or 'first_train'")
     if rollout.steps < 1:
         raise ConfigError("rollout.steps: must be positive")
 
-    dictionary = str(work.pop("dictionary", "vectorization"))
+    dictionary = _expect(work.pop("dictionary", "vectorization"), str, "dictionary")
+    try:  # dry run: a bad spec fails here, before any computation
+        parse_dictionary(dictionary, q=scenario.feature_dim, seed=scenario.seed)
+    except ValueError as exc:
+        raise ConfigError(f"dictionary: {exc}") from exc
 
     rank_tol = work.pop("rank_tol", None)
     if rank_tol is not None:
-        rank_tol = float(_expect(rank_tol, (int, float), "rank_tol"))
+        rank_tol = float(_expect(rank_tol, _NUMBER, "rank_tol"))
         if rank_tol < 0:
             raise ConfigError("rank_tol: must be nonnegative")
 
@@ -189,7 +204,7 @@ def from_dict(raw: dict) -> RunConfig:
 
     thetas = work.pop("sweep_thetas", [0.3, 0.5, 0.9])
     _expect(thetas, (list, tuple), "sweep_thetas")
-    sweep_thetas = tuple(float(v) for v in thetas)
+    sweep_thetas = tuple(float(_expect(v, _NUMBER, "sweep_thetas")) for v in thetas)
     if any(v <= 0 for v in sweep_thetas):
         raise ConfigError("sweep_thetas: all values must be positive")
 

@@ -41,8 +41,8 @@ import numpy as np
 
 from .edmd import LiftedData
 from .graphs import DisconnectedGraphError, Graph, Laplacian, is_connected, laplacian
-from .linalg import (ZERO_TOL_FACTOR, Spectrum, eigenvalues, frobenius_norm, psd_sqrt,
-                     range_basis)
+from .linalg import (ZERO_TOL_FACTOR, Spectrum, eigenvalues, extend_basis, frobenius_norm,
+                     psd_sqrt, range_basis)
 
 DIVERGENCE_GUARD = 1e12
 
@@ -358,17 +358,6 @@ def resolve_alpha(gains: SolverGains, part: Partition, data: LiftedData,
     return gains.alpha_fraction * report.alpha_max
 
 
-def _step_arrays(K, R, L, blocks, k_P, k_I, alpha):
-    """One synchronous round on stacked (p, n, n) state arrays."""
-    grad = np.empty_like(K)
-    for i, (Xi, Yi) in enumerate(blocks):
-        grad[i] = (K[i] @ Xi - Yi) @ Xi.T
-    diff = np.tensordot(L, K, axes=(1, 0))
-    K_next = K - alpha * (grad + k_P * diff + k_I * R)
-    R_next = R + alpha * diff
-    return K_next, R_next
-
-
 def _stack_states(states, part, data, graph):
     if len(states) != graph.p or part.p != graph.p:
         raise ValueError(
@@ -380,6 +369,46 @@ def _stack_states(states, part, data, graph):
     K = np.stack([s.K for s in states]).astype(float)
     R = np.stack([s.R for s in states]).astype(float)
     return K, R
+
+
+class _Reduced:
+    """The solver's problem in the coordinates of an orthonormal basis B.
+
+    Every gradient (K_i X_i - Y_i) X_i^T has its rows in V = range(X), and
+    the Laplacian mix and the integral term combine rows already present,
+    so K_i = W_i B^T and R_i = S_i B^T hold exactly for all rounds once B
+    spans V and the rows of K(0) and R(0).  B is Q = range_basis(X) (the
+    ``pseudoinverse`` rank rule), extended only by the part of the initial
+    rows that lies outside V.  The data enter through X~ = B^T X, the
+    agents' Grams G_i = X~_i X~_i^T and C_i = Y_i X~_i^T, all precomputed.
+    """
+
+    def __init__(self, K, R, graph: Graph, part: Partition, data: LiftedData):
+        Q = range_basis(data.X)
+        n, r = Q.shape
+        if r == n or not (K.any() or R.any()):  # nothing lies outside range(X)
+            B = Q
+        else:
+            B = extend_basis(Q, np.concatenate([K.reshape(-1, n), R.reshape(-1, n)]))
+        self.B = B
+        self.Xt = B.T @ data.X
+        blocks = [(B.T @ Xi, Yi) for Xi, Yi in part.blocks(data)]
+        self.G = np.stack([Xi @ Xi.T for Xi, _ in blocks])
+        self.C = np.stack([Yi @ Xi.T for Xi, Yi in blocks])
+        self.L = laplacian(graph).matrix
+        self.W, self.S = K @ B, R @ B  # the initial states
+
+    def states(self, W, S) -> list[AgentState]:
+        """Full-coordinate agent states K_i = W_i B^T and R_i = S_i B^T."""
+        K, R = W @ self.B.T, S @ self.B.T
+        return [AgentState(K[i], R[i]) for i in range(K.shape[0])]
+
+
+def _round(W, S, red: _Reduced, k_P, k_I, alpha):
+    """One synchronous round on the reduced (p, n, b) states; no per-agent loop."""
+    grad = W @ red.G - red.C
+    diff = (red.L @ W.reshape(W.shape[0], -1)).reshape(W.shape)
+    return W - alpha * (grad + k_P * diff + k_I * S), S + alpha * diff
 
 
 def step(states, graph: Graph, gains: SolverGains, part: Partition,
@@ -434,6 +463,14 @@ def kkt_residual(states, part: Partition, data: LiftedData, graph: Graph) -> flo
     return stationarity + _edge_disagreement(K, graph.edges)
 
 
+def _incidence(graph: Graph) -> np.ndarray:
+    """Edge-by-agent matrix with +1 at i and -1 at j for each edge (i, j)."""
+    E = np.zeros((len(graph.edges), graph.p))
+    for k, (i, j) in enumerate(graph.edges):
+        E[k, i], E[k, j] = 1.0, -1.0
+    return E
+
+
 def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedData,
         record_mean: bool = False) -> tuple[list[AgentState], RunTrace]:
     """Iterate the update law until both stopping residuals drop below stop_tol.
@@ -444,45 +481,73 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     times the initial data scale; reported through ``trace.diverged``, not
     an exception).  The run is a pure function of its inputs: repeated
     calls give bit-identical traces.
+
+    The rounds and the diagnostics run in the reduced coordinates of
+    :class:`_Reduced`: with B orthonormal, ||K_i - K_j||_F = ||W_i - W_j||_F,
+    K_i X = W_i X~, and the stationarity norm is ||(Wbar X~ - Y) X~^T||_F.
     """
     if not is_connected(graph):
         raise DisconnectedGraphError("solver requires a connected communication graph")
     K, R = _stack_states(init, part, data, graph)
     if float(np.abs(R).max(initial=0.0)) != 0.0:
         raise ValueError("integral states must start at zero")
-    lap = laplacian(graph)
-    alpha = resolve_alpha(gains, part, data, lap)
-    blocks = part.blocks(data)
-    L = lap.matrix
-    edges = graph.edges
+    alpha = resolve_alpha(gains, part, data, laplacian(graph))
+    red = _Reduced(K, R, graph, part, data)
+    del K, R  # the (p, n, n) stacks are not needed during the rounds
+    W, S = red.W, red.S
+    # contiguous operands: the per-round products on a transposed or
+    # strided view cost about a microsecond more each
+    Xt, XtT, Y = red.Xt, red.Xt.T.copy(), np.ascontiguousarray(data.Y)
+    p, (n, b), N = graph.p, red.B.shape, data.num_samples
+
+    # One matmul gives the edge differences and the mean, and one reduceat
+    # gives every Frobenius norm of a round, over the segments
+    # [edges (m), stationarity, sum of S, W_i (p) | mean residual, residuals (p)].
+    # The first group is n*b wide, which is 0 when X = 0 and K(0) = 0; a
+    # zero-width segment reads the next segment's first entry, and `live`
+    # zeroes it.
+    m = len(graph.edges)
+    mix = np.vstack([_incidence(graph), np.full((1, p), 1.0 / p)])
+    sizes = [n * b] * (m + 2 + p) + [n * N] * (p + 1)
+    starts = np.cumsum([0] + sizes[:-1])
+    live = np.array([float(b > 0)] * (m + 2 + p) + [1.0] * (p + 1))
+    w_at, res_at = m + 2, m + 2 + p
 
     data_scale = float(np.linalg.norm(data.Y, "fro") * np.linalg.norm(data.X, "fro"))
     guard = DIVERGENCE_GUARD * (1.0 + data_scale
-                                + max(float(np.linalg.norm(Ki, "fro")) for Ki in K))
+                                + float(np.linalg.norm(W, axis=(1, 2)).max()))
 
     cons, objm, fitm, kktm, intm = [], [], [], [], []
-    mean_hist = [] if record_mean else None
+    # one buffer grown like a list, not an array per round plus a final
+    # copy; reserving all t_max rounds up front can exceed the address space
+    # the system grants, however early the run stops
+    mean_hist = np.empty((min(gains.t_max, 16), n, n)) if record_mean else None
     converged = diverged = False
 
-    for _ in range(gains.t_max):
-        K, R = _step_arrays(K, R, L, blocks, gains.k_P, gains.k_I, alpha)
+    for t in range(gains.t_max):
+        W, S = _round(W, S, red, gains.k_P, gains.k_I, alpha)
 
-        Kbar = K.mean(axis=0)
-        residual_bar = Kbar @ data.X - data.Y
-        stationarity = float(np.linalg.norm(residual_bar @ data.X.T, "fro"))
-        edge_err = _edge_disagreement(K, edges)
-        fit = float(np.mean([np.linalg.norm(data.Y - K[i] @ data.X, "fro")
-                             for i in range(part.p)]))
+        mixed = mix @ W.reshape(p, -1)
+        Wbar = mixed[m].reshape(n, b)
+        residual_bar = Wbar @ Xt - Y
+        flat = np.concatenate((mixed[:m], residual_bar @ XtT, S.sum(axis=0), W,
+                               residual_bar, W @ Xt - Y), axis=None)
+        norms = np.sqrt(np.add.reduceat(flat * flat, starts) * live).tolist()
+        edge_err = max(norms[:m], default=0.0)
 
         cons.append(edge_err)
-        objm.append(0.5 * float(np.linalg.norm(residual_bar, "fro")) ** 2)
-        fitm.append(fit)
-        kktm.append(stationarity + edge_err)
-        intm.append(float(np.linalg.norm(R.sum(axis=0), "fro")))
+        objm.append(0.5 * norms[res_at] ** 2)
+        fitm.append(sum(norms[res_at + 1:]) / p)
+        kktm.append(norms[m] + edge_err)
+        intm.append(norms[m + 1])
         if record_mean:
-            mean_hist.append(Kbar)
+            if t == len(mean_hist):
+                grown = np.empty((min(2 * t, gains.t_max), n, n))
+                grown[:t] = mean_hist
+                mean_hist = grown
+            np.matmul(Wbar, red.B.T, out=mean_hist[t])
 
-        worst = max(float(np.linalg.norm(K[i], "fro")) for i in range(part.p))
+        worst = max(norms[w_at:res_at])
         if not np.isfinite(worst) or worst > guard:
             diverged = True
             break
@@ -499,10 +564,9 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
         alpha=alpha,
         converged=converged,
         diverged=diverged,
-        mean_history=np.array(mean_hist) if record_mean else None,
+        mean_history=mean_hist[:len(cons)] if record_mean else None,
     )
-    states = [AgentState(K[i].copy(), R[i].copy()) for i in range(part.p)]
-    return states, trace
+    return red.states(W, S), trace
 
 
 def iterate_rounds(states, graph: Graph, gains: SolverGains, part: Partition,
@@ -510,8 +574,9 @@ def iterate_rounds(states, graph: Graph, gains: SolverGains, part: Partition,
                    alpha: float | None = None) -> list[AgentState]:
     """Run a fixed number of rounds without diagnostics or stopping checks.
 
-    Same kernel as :func:`run`, so the iterates are bit-identical to the
-    corresponding prefix of a run with the same inputs.
+    Same reduced coordinates and round as :func:`run`, so the iterates are
+    bit-identical to the corresponding prefix of a run with the same inputs.
+    Nonzero integral states R_i are allowed here.
     """
     if alpha is None:
         alpha = gains.alpha
@@ -520,12 +585,11 @@ def iterate_rounds(states, graph: Graph, gains: SolverGains, part: Partition,
             "gains use alpha_fraction; resolve the step size first (see resolve_alpha)")
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
-    K, R = _stack_states(states, part, data, graph)
-    blocks = part.blocks(data)
-    L = laplacian(graph).matrix
+    red = _Reduced(*_stack_states(states, part, data, graph), graph, part, data)
+    W, S = red.W, red.S
     for _ in range(rounds):
-        K, R = _step_arrays(K, R, L, blocks, gains.k_P, gains.k_I, alpha)
-    return [AgentState(K[i], R[i]) for i in range(graph.p)]
+        W, S = _round(W, S, red, gains.k_P, gains.k_I, alpha)
+    return red.states(W, S)
 
 
 def tail_contraction(mean_history, tail_fraction: float = 0.5) -> float:
@@ -539,14 +603,14 @@ def tail_contraction(mean_history, tail_fraction: float = 0.5) -> float:
     H = np.asarray(mean_history, dtype=float)
     if H.ndim != 3 or H.shape[0] < 4:
         return float("nan")
-    d = np.linalg.norm(H - H[-1], axis=(1, 2))
-    last = H.shape[0] - 2
+    start = int(np.floor((H.shape[0] - 1) * (1.0 - tail_fraction)))
+    d = np.linalg.norm(H[start:] - H[-1], axis=(1, 2))  # the window only
+    last = d.size - 2
     while last >= 0 and d[last] <= 0.0:
         last -= 1
-    start = int(np.floor((H.shape[0] - 1) * (1.0 - tail_fraction)))
-    if last <= start or d[start] <= 0.0:
+    if last <= 0 or d[0] <= 0.0:
         return float("nan")
-    return float((d[last] / d[start]) ** (1.0 / (last - start)))
+    return float((d[last] / d[0]) ** (1.0 / last))
 
 
 def manual_gains(gains: SolverGains, alpha: float) -> SolverGains:

@@ -124,6 +124,21 @@ def range_basis(a) -> np.ndarray:
     return u[:, s > _rank_cutoff(arr.shape, s, None)]
 
 
+def extend_basis(q, rows) -> np.ndarray:
+    """Orthonormal basis of range(Q) plus the row space of ``rows``.
+
+    Only the part of the rows outside range(Q) adds columns: its singular
+    directions above ``max(shape) * eps * ||rows||_F``, the pseudoinverse
+    rank rule relative to the rows' own scale, so the roundoff left by the
+    projection adds none.  The result is orthonormalized again because a
+    direction just above the cutoff keeps a roundoff component along Q.
+    """
+    q, z = as_matrix(q, "basis"), as_matrix(rows, "rows")
+    _, s, vt = np.linalg.svd(z - (z @ q) @ q.T, full_matrices=False)
+    keep = s > max(z.shape) * _EPS * float(np.linalg.norm(z))
+    return np.linalg.qr(np.hstack([q, vt[keep].T]))[0] if keep.any() else q
+
+
 def _rank_cutoff(shape, s: np.ndarray, rank_tol: float | None) -> float:
     if rank_tol is None:
         return max(shape) * _EPS * (float(s[0]) if s.size else 0.0)
@@ -136,8 +151,10 @@ def psd_sqrt(a) -> np.ndarray:
     """Symmetric PSD square root S with S @ S == A.
 
     Requires A symmetric within 1e-12 * ||A||_F.  Eigenvalues in
-    [-1e-10 * ||A||_F, 0) are clamped to zero; anything more negative
-    raises :class:`NotPSDError`.
+    [-1e-10 * ||A||_F, max(shape) * eps * lambda_max] are set to exactly
+    zero, so a singular A gets an exactly singular root instead of square
+    roots of its roundoff (about sqrt(eps) of scale); anything more
+    negative raises :class:`NotPSDError`.
     """
     arr = as_matrix(a)
     if arr.shape[0] != arr.shape[1]:
@@ -148,7 +165,7 @@ def psd_sqrt(a) -> np.ndarray:
     w, v = np.linalg.eigh(0.5 * (arr + arr.T))
     if w.size and float(w[0]) < -1e-10 * scale:
         raise NotPSDError(f"matrix has a significantly negative eigenvalue {w[0]:g}")
-    w = np.clip(w, 0.0, None)
+    w[w <= _rank_cutoff(arr.shape, w[::-1], None)] = 0.0
     return (v * np.sqrt(w)) @ v.T
 
 

@@ -181,6 +181,30 @@ class TestExperimentCommand:
         path = write_config(tmp_path, {"bogus": 1})
         assert cli.main(["experiment", "--config", path]) == 2
 
+    @pytest.mark.parametrize("cfg, where", [
+        ({"init": {"seed": "x"}}, "init.seed"),
+        ({"init": {"seed": True}}, "init.seed"),
+        ({"init": {"mode": "random", "seed": -1}}, "init.seed"),
+        ({"rollout": {"steps": "x"}}, "rollout.steps"),
+        ({"dictionary": "bogus"}, "dictionary"),
+        ({"dictionary": "monomial:abc"}, "dictionary"),
+        ({"scenario": {"grid_side": 2.5}}, "scenario.grid_side"),
+        ({"scenario": {"drift": ["x", 0]}}, "scenario.drift"),
+        ({"gains": {"theta": "0.5"}}, "gains.theta"),
+        ({"sweep_thetas": [0.5, "x"]}, "sweep_thetas"),
+    ])
+    def test_malformed_leaf_exit_2(self, tmp_path, capsys, cfg, where):
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["experiment", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_ints_accepted_where_floats_expected(self):
+        cfg = from_dict({"gains": {"k_P": 5, "k_I": 2, "alpha": 1}, "stop_tol": 0,
+                         "scenario": {"drift": [1, 0], "diffusion": 0}, "sweep_thetas": [1]})
+        assert cfg.gains.alpha == 1.0 and cfg.scenario.drift == (1.0, 0.0)
+
     def test_edge_file_graph(self, tmp_path):
         graph_path = tmp_path / "g.txt"
         graph_path.write_text("3\n0 1\n1 2\n")
@@ -293,6 +317,31 @@ class TestDataIO:
         dataio.write_matrix_csv(tmp_path / "a.csv", a)
         b = dataio.read_matrix_csv(tmp_path / "a.csv")
         assert np.array_equal(a, b)
+
+    def test_writers_match_the_fstring_formatter(self, tmp_path):
+        # the per-value f"{v:.17g}" formatting the writers used before, as oracle
+        def fmt(rows):
+            return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+                   1e-310, np.pi, -1.0 / 3.0, 2.0**53 + 2.0, 1e300]
+        rng = np.random.default_rng(3)
+        for a in (np.array(special).reshape(3, 4), rng.standard_normal((40, 30)) * 1e-3,
+                  np.array([[7.0]])):
+            dataio.write_matrix_csv(tmp_path / "m.csv", a)
+            assert (tmp_path / "m.csv").read_bytes() == fmt(a).encode()
+        eigs = np.array(special[:6]) + 1j * np.array(special[6:])
+        dataio.write_spectrum_csv(tmp_path / "s.csv", eigs)
+        assert (tmp_path / "s.csv").read_bytes() == (
+            "re,im\n" + fmt([(v.real, v.imag) for v in eigs])).encode()
+
+        from dkoopman.consensus import RunTrace
+        cols = np.array(special[:10]).reshape(5, 2)
+        trace = RunTrace(*cols, alpha=0.1, converged=False, diverged=False)
+        dataio.write_trace_csv(tmp_path / "t.csv", trace)
+        rows = [[str(t + 1)] + [f"{c[t]:.17g}" for c in cols] for t in range(2)]
+        assert (tmp_path / "t.csv").read_text() == "\n".join(
+            [",".join(dataio.TRACE_COLUMNS)] + [",".join(r) for r in rows]) + "\n"
 
     def test_spectrum_round_trip(self, tmp_path):
         eigs = np.array([1 + 2j, -0.5 - 1e-12j, 3.0 + 0j])

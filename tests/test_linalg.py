@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dkoopman.linalg import (DimensionError, NotPSDError, Spectrum, eigenvalues,
-                             frobenius_norm, pseudoinverse, psd_sqrt,
+                             extend_basis, frobenius_norm, pseudoinverse, psd_sqrt,
                              range_basis, spectrum_distance)
 
 
@@ -146,6 +146,24 @@ class TestRangeBasis:
         assert range_basis(np.zeros((4, 3))).shape == (4, 0)
 
 
+class TestExtendBasis:
+    def test_rows_inside_add_nothing(self):
+        rng = np.random.default_rng(4)
+        q = range_basis(rng.standard_normal((6, 2)))
+        assert extend_basis(q, rng.standard_normal((9, 2)) @ q.T) is q
+
+    def test_rows_outside_are_spanned(self):
+        rng = np.random.default_rng(5)
+        q = range_basis(rng.standard_normal((6, 2)))
+        rows = rng.standard_normal((4, 1)) @ rng.standard_normal((1, 6)) \
+            + rng.standard_normal((4, 2)) @ q.T
+        b = extend_basis(q, rows)
+        assert b.shape == (6, 3)
+        assert np.allclose(b.T @ b, np.eye(3), atol=1e-14)
+        assert np.allclose(rows @ b @ b.T, rows, atol=1e-13)
+        assert np.allclose(q @ q.T @ b @ b.T, q @ q.T, atol=1e-14)
+
+
 class TestPsdSqrt:
     def test_identity(self):
         assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3), atol=1e-12)
@@ -159,6 +177,15 @@ class TestPsdSqrt:
         s = psd_sqrt(L)
         assert np.linalg.norm(s @ s - L) <= 1e-12
         assert np.linalg.norm(s - s.T) <= 1e-12
+
+    def test_singular_input_keeps_its_kernel(self):
+        # path-graph Laplacian kron I_3: a 3-dimensional kernel whose roundoff
+        # eigenvalues (about 1e-16) must not turn into square roots near 1e-8
+        L = np.array([[1.0, -1.0, 0.0, 0.0], [-1.0, 2.0, -1.0, 0.0],
+                      [0.0, -1.0, 2.0, -1.0], [0.0, 0.0, -1.0, 1.0]])
+        w = np.linalg.eigvalsh(psd_sqrt(np.kron(L, np.eye(3))))
+        assert np.sum(np.abs(w) <= 1e-14) == 3
+        assert np.all(w[3:] > 0.5)
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPSDError):
