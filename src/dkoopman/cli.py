@@ -72,7 +72,6 @@ def cmd_experiment(cfg: RunConfig) -> int:
         "zero_tol_M_tilde": rep.spectral.spectrum_M_tilde.zero_tol,
         "spectrum_M_tilde": _spectrum_pairs(rep.spectral.spectrum_M_tilde),
         "zero_tol_M": rep.spectral.spectrum_M.zero_tol,
-        "spectrum_M": _spectrum_pairs(rep.spectral.spectrum_M),
     }
     dataio.write_json(out / "report.json", {
         "alpha": rep.alpha,
@@ -121,6 +120,7 @@ def cmd_alpha_sweep(cfg: RunConfig, thetas=None) -> int:
             str(trace.iterations),
             "" if np.isnan(contraction) else f"{contraction:.17g}",
         ]))
+        del trace  # its mean history would otherwise stay alive through the next run
 
     out = Path(cfg.out_dir)
     dataio.atomic_write_text(out / "alpha_sweep.csv", "\n".join(lines) + "\n")

@@ -371,44 +371,97 @@ def _stack_states(states, part, data, graph):
     return K, R
 
 
+# A chunk keeps its rounds and their diagnostics within this many bytes, so
+# that they stay in cache between the rounds and the batched diagnostics
+# (at 32 rounds of n = 400 columns they did not, and batching gained
+# nothing), and a huge state is not held 32 times.
+_CHUNK_BYTES = 2 * 2**20
+_CHUNK_ROUNDS = 32
+
+
 class _Reduced:
-    """The solver's problem in the coordinates of an orthonormal basis B.
+    """The solver's problem in the coordinates of two orthonormal bases.
 
     Every gradient (K_i X_i - Y_i) X_i^T has its rows in V = range(X), and
     the Laplacian mix and the integral term combine rows already present,
     so K_i = W_i B^T and R_i = S_i B^T hold exactly for all rounds once B
     spans V and the rows of K(0) and R(0).  B is Q = range_basis(X) (the
     ``pseudoinverse`` rank rule), extended only by the part of the initial
-    rows that lies outside V.  The data enter through X~ = B^T X, the
-    agents' Grams G_i = X~_i X~_i^T and C_i = Y_i X~_i^T, all precomputed.
+    rows that lies outside V.  On the other side, every column of K_i(t)
+    and R_i(t) lies in range(Y) plus the columns of the initial W and S, so
+    when those columns number fewer than n, the state is also taken in an
+    orthonormal basis H of them (from a QR, which needs no rank cutoff);
+    otherwise H is None and d = n.
+
+    The state is one C-contiguous 2pb x d array
+    Z = [W_1^T; ...; W_p^T; S_1^T; ...; S_p^T] H, and a round is
+
+        Z <- (P kron I_b) Z - blkdiag(alpha G_i) Z_W + alpha [C_1; ...; C_p; 0]
+
+    with P = I + alpha [[-k_P L, -k_I I], [L, 0]] (the transpose of M's
+    block on the complement of V, see ``_restricted_pair``), X~ = B^T X,
+    Y^ = H^T Y, G_i = X~_i X~_i^T and C_i = X~_i Y^_i^T, all precomputed.
     """
 
-    def __init__(self, K, R, graph: Graph, part: Partition, data: LiftedData):
+    def __init__(self, K, R, graph: Graph, part: Partition, data: LiftedData,
+                 k_P: float, k_I: float, alpha: float):
         Q = range_basis(data.X)
         n, r = Q.shape
+        p = K.shape[0]
         if r == n or not (K.any() or R.any()):  # nothing lies outside range(X)
             B = Q
         else:
             B = extend_basis(Q, np.concatenate([K.reshape(-1, n), R.reshape(-1, n)]))
-        self.B = B
+        WS = np.concatenate([K @ B, R @ B])  # (2p, n, b): the initial W_i, then S_i
+        b = B.shape[1]
+        span = [data.Y] + [M.transpose(1, 0, 2).reshape(n, -1)
+                           for M in (WS[:p], WS[p:]) if M.any()]
+        H = (np.linalg.qr(np.hstack(span))[0]
+             if sum(M.shape[1] for M in span) < n else None)
+        d = n if H is None else H.shape[1]
+        Zt = WS.transpose(0, 2, 1)
+        self.Z0 = np.ascontiguousarray((Zt if H is None else Zt @ H).reshape(2 * p * b, d))
+        self.B, self.H, self.p, self.b, self.d = B, H, p, b, d
         self.Xt = B.T @ data.X
-        blocks = [(B.T @ Xi, Yi) for Xi, Yi in part.blocks(data)]
-        self.G = np.stack([Xi @ Xi.T for Xi, _ in blocks])
-        self.C = np.stack([Yi @ Xi.T for Xi, Yi in blocks])
-        self.L = laplacian(graph).matrix
-        self.W, self.S = K @ B, R @ B  # the initial states
+        Yh = data.Y if H is None else H.T @ data.Y
+        # contiguous operands: the products on a transposed or strided view
+        # cost about a microsecond more each
+        self.XtT, self.YhT = self.Xt.T.copy(), Yh.T.copy()
+        blocks = [(B.T @ Xi, Yi if H is None else H.T @ Yi) for Xi, Yi in part.blocks(data)]
+        self.G = alpha * np.stack([Xi @ Xi.T for Xi, _ in blocks])
+        self.C = alpha * np.stack([Xi @ Yi.T for Xi, Yi in blocks])
+        L, eye = laplacian(graph).matrix, np.eye(p)
+        self.P = np.eye(2 * p) + alpha * np.block([[-k_P * L, -k_I * eye],
+                                                   [L, np.zeros((p, p))]])
 
-    def states(self, W, S) -> list[AgentState]:
+    def views(self, Z) -> tuple[np.ndarray, np.ndarray]:
+        """Z as (2p, b*d) and its W part as (p, b, d); Z must be C-contiguous,
+        or the reshapes are copies that a round would write to in vain."""
+        if not Z.flags.c_contiguous:
+            raise ValueError("the state must be C-contiguous")
+        p, b, d = self.p, self.b, self.d
+        return Z.reshape(2 * p, b * d), Z[:p * b].reshape(p, b, d)
+
+    def states(self, Z) -> list[AgentState]:
         """Full-coordinate agent states K_i = W_i B^T and R_i = S_i B^T."""
-        K, R = W @ self.B.T, S @ self.B.T
-        return [AgentState(K[i], R[i]) for i in range(K.shape[0])]
+        KR = Z.reshape(2 * self.p, self.b, self.d).transpose(0, 2, 1) @ self.B.T
+        if self.H is not None:
+            KR = self.H @ KR
+        return [AgentState(KR[i], KR[self.p + i]) for i in range(self.p)]
 
 
-def _round(W, S, red: _Reduced, k_P, k_I, alpha):
-    """One synchronous round on the reduced (p, n, b) states; no per-agent loop."""
-    grad = W @ red.G - red.C
-    diff = (red.L @ W.reshape(W.shape[0], -1)).reshape(W.shape)
-    return W - alpha * (grad + k_P * diff + k_I * S), S + alpha * diff
+def _round(Z, out, red: _Reduced):
+    """One synchronous round from state Z into state ``out``, both given as
+    :meth:`_Reduced.views`.
+
+    The Laplacian and integral coupling is one (2p x 2p) @ (2p, b*d) matmul,
+    the local gradients one batched (p, b, b) @ (p, b, d) matmul; the dense
+    2pb x 2pb operator would cost 4p times the flops.
+    """
+    np.matmul(red.P, Z[0], out=out[0])
+    W = out[1]
+    W -= red.G @ Z[1]
+    W += red.C
 
 
 def step(states, graph: Graph, gains: SolverGains, part: Partition,
@@ -471,6 +524,23 @@ def _incidence(graph: Graph) -> np.ndarray:
     return E
 
 
+def _reserve(buf, need: int, limit: int, axis: int) -> np.ndarray:
+    """``buf`` with room for ``need`` entries along ``axis``, doubled up to ``limit``.
+
+    Grown like a list instead of reserved for all t_max rounds at once: that
+    can exceed the address space the system grants, however early the run
+    stops.
+    """
+    have = buf.shape[axis]
+    if need <= have:
+        return buf
+    shape = list(buf.shape)
+    shape[axis] = min(max(2 * have, need), limit)
+    grown = np.empty(shape)
+    np.moveaxis(grown, axis, 0)[:have] = np.moveaxis(buf, axis, 0)
+    return grown
+
+
 def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedData,
         record_mean: bool = False) -> tuple[list[AgentState], RunTrace]:
     """Iterate the update law until both stopping residuals drop below stop_tol.
@@ -483,8 +553,12 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     calls give bit-identical traces.
 
     The rounds and the diagnostics run in the reduced coordinates of
-    :class:`_Reduced`: with B orthonormal, ||K_i - K_j||_F = ||W_i - W_j||_F,
-    K_i X = W_i X~, and the stationarity norm is ||(Wbar X~ - Y) X~^T||_F.
+    :class:`_Reduced`: with B and H orthonormal, ||K_i - K_j||_F =
+    ||Z_i - Z_j||_F, the residual K_i X - Y is H (Z_i^T X~ - Y^) and the
+    stationarity norm is ||X~ (X~^T Zbar - Y^^T)||_F.  The rounds go in
+    chunks of up to 32 written into one buffer, and each chunk's
+    diagnostics are computed at once; the first round that stops or
+    diverges ends the run, and the rest of its chunk is discarded.
     """
     if not is_connected(graph):
         raise DisconnectedGraphError("solver requires a connected communication graph")
@@ -492,81 +566,79 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     if float(np.abs(R).max(initial=0.0)) != 0.0:
         raise ValueError("integral states must start at zero")
     alpha = resolve_alpha(gains, part, data, laplacian(graph))
-    red = _Reduced(K, R, graph, part, data)
+    red = _Reduced(K, R, graph, part, data, gains.k_P, gains.k_I, alpha)
     del K, R  # the (p, n, n) stacks are not needed during the rounds
-    W, S = red.W, red.S
-    # contiguous operands: the per-round products on a transposed or
-    # strided view cost about a microsecond more each
-    Xt, XtT, Y = red.Xt, red.Xt.T.copy(), np.ascontiguousarray(data.Y)
-    p, (n, b), N = graph.p, red.B.shape, data.num_samples
-
-    # One matmul gives the edge differences and the mean, and one reduceat
-    # gives every Frobenius norm of a round, over the segments
-    # [edges (m), stationarity, sum of S, W_i (p) | mean residual, residuals (p)].
-    # The first group is n*b wide, which is 0 when X = 0 and K(0) = 0; a
-    # zero-width segment reads the next segment's first entry, and `live`
-    # zeroes it.
-    m = len(graph.edges)
+    p, b, d, pb = red.p, red.b, red.d, red.p * red.b
+    n, N, m, t_max = data.feature_dim, data.num_samples, len(graph.edges), gains.t_max
+    # [edge incidence; 1^T / p]: one matmul gives the edge differences and the mean
     mix = np.vstack([_incidence(graph), np.full((1, p), 1.0 / p)])
-    sizes = [n * b] * (m + 2 + p) + [n * N] * (p + 1)
-    starts = np.cumsum([0] + sizes[:-1])
-    live = np.array([float(b > 0)] * (m + 2 + p) + [1.0] * (p + 1))
-    w_at, res_at = m + 2, m + 2 + p
 
     data_scale = float(np.linalg.norm(data.Y, "fro") * np.linalg.norm(data.X, "fro"))
-    guard = DIVERGENCE_GUARD * (1.0 + data_scale
-                                + float(np.linalg.norm(W, axis=(1, 2)).max()))
+    W0_norm = np.linalg.norm(red.Z0[:pb].reshape(p, b * d), axis=1).max()
+    guard = DIVERGENCE_GUARD * (1.0 + data_scale + float(W0_norm))
 
-    cons, objm, fitm, kktm, intm = [], [], [], [], []
-    # one buffer grown like a list, not an array per round plus a final
-    # copy; reserving all t_max rounds up front can exceed the address space
-    # the system grants, however early the run stops
-    mean_hist = np.empty((min(gains.t_max, 16), n, n)) if record_mean else None
-    converged = diverged = False
+    # per round: the state, [edges, mean, stationarity, sum of S] (b x d
+    # each) and [mean residual, residuals] (N x d each)
+    k = max(1, min(_CHUNK_ROUNDS, _CHUNK_BYTES // (8 * d * (2 * pb + (m + 3) * b
+                                                            + (p + 1) * N))))
+    buf = np.empty((k + 1, 2 * pb, d))  # slot 0 holds the state entering a chunk
+    buf[0] = red.Z0
+    slots = [red.views(Z) for Z in buf]
+    diag = np.empty((k, m + 3, b * d))
+    res = np.empty((k, p + 1, N, d))
+    series = np.empty((5, min(t_max, 16)))
+    mean_hist = np.empty((min(t_max, 16), n, n)) if record_mean else None
+    t, converged, diverged = 0, False, False
 
-    for t in range(gains.t_max):
-        W, S = _round(W, S, red, gains.k_P, gains.k_I, alpha)
+    # a diverging chunk overflows in the rounds after the one that trips the
+    # guard; those rounds are discarded
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < t_max and not (converged or diverged):
+            kc = min(k, t_max - t)
+            for j in range(kc):
+                _round(slots[j], slots[j + 1], red)
+            # the chunk's diagnostics, each a product over all its rounds at once
+            Zw = buf[1:kc + 1, :pb]
+            Zf = Zw.reshape(kc, p, b * d)
+            D, E = diag[:kc], res[:kc]
+            np.matmul(mix, Zf, out=D[:, :m + 1])
+            Wbar = D[:, m].reshape(kc, b, d)
+            np.matmul(red.XtT, Wbar, out=E[:, 0])
+            np.matmul(red.XtT, Zw.reshape(kc, p, b, d), out=E[:, 1:])
+            E -= red.YhT
+            np.matmul(red.Xt, E[:, 0], out=D[:, m + 1].reshape(kc, b, d))
+            np.sum(buf[1:kc + 1, pb:].reshape(kc, p, b * d), axis=1, out=D[:, m + 2])
 
-        mixed = mix @ W.reshape(p, -1)
-        Wbar = mixed[m].reshape(n, b)
-        residual_bar = Wbar @ Xt - Y
-        flat = np.concatenate((mixed[:m], residual_bar @ XtT, S.sum(axis=0), W,
-                               residual_bar, W @ Xt - Y), axis=None)
-        norms = np.sqrt(np.add.reduceat(flat * flat, starts) * live).tolist()
-        edge_err = max(norms[:m], default=0.0)
+            Ef = E.reshape(kc, p + 1, N * d)
+            norms = np.sqrt(np.einsum("kij,kij->ki", D, D))
+            res_norms = np.sqrt(np.einsum("kij,kij->ki", Ef, Ef))
+            worst = np.sqrt(np.einsum("kij,kij->ki", Zf, Zf)).max(axis=1)
+            cons = norms[:, :m].max(axis=1, initial=0.0)
+            kkt = norms[:, m + 1] + cons
+            stop = np.flatnonzero(~(worst <= guard)
+                                  | ((cons < gains.stop_tol) & (kkt < gains.stop_tol)))
+            if stop.size:
+                kc = int(stop[0]) + 1
+                diverged = not worst[kc - 1] <= guard
+                converged = not diverged
 
-        cons.append(edge_err)
-        objm.append(0.5 * norms[res_at] ** 2)
-        fitm.append(sum(norms[res_at + 1:]) / p)
-        kktm.append(norms[m] + edge_err)
-        intm.append(norms[m + 1])
-        if record_mean:
-            if t == len(mean_hist):
-                grown = np.empty((min(2 * t, gains.t_max), n, n))
-                grown[:t] = mean_hist
-                mean_hist = grown
-            np.matmul(Wbar, red.B.T, out=mean_hist[t])
+            series = _reserve(series, t + kc, t_max, axis=1)
+            series[:, t:t + kc] = (cons[:kc], 0.5 * res_norms[:kc, 0] ** 2,
+                                   res_norms[:kc, 1:].sum(axis=1) / p, kkt[:kc],
+                                   norms[:kc, m + 2])
+            if record_mean:
+                mean_hist = _reserve(mean_hist, t + kc, t_max, axis=0)
+                Kbar_t = Wbar[:kc].transpose(0, 2, 1)  # (kc, d, b)
+                if red.H is None:
+                    np.matmul(Kbar_t, red.B.T, out=mean_hist[t:t + kc])
+                else:
+                    np.matmul(red.H, Kbar_t @ red.B.T, out=mean_hist[t:t + kc])
+            t += kc
+            buf[0] = buf[kc]
 
-        worst = max(norms[w_at:res_at])
-        if not np.isfinite(worst) or worst > guard:
-            diverged = True
-            break
-        if edge_err < gains.stop_tol and kktm[-1] < gains.stop_tol:
-            converged = True
-            break
-
-    trace = RunTrace(
-        consensus_error=np.array(cons),
-        objective_mean=np.array(objm),
-        fit_metric=np.array(fitm),
-        kkt_residual=np.array(kktm),
-        integral_sum_norm=np.array(intm),
-        alpha=alpha,
-        converged=converged,
-        diverged=diverged,
-        mean_history=mean_hist[:len(cons)] if record_mean else None,
-    )
-    return red.states(W, S), trace
+    trace = RunTrace(*series[:, :t], alpha=alpha, converged=converged, diverged=diverged,
+                     mean_history=mean_hist[:t] if record_mean else None)
+    return red.states(buf[0]), trace
 
 
 def iterate_rounds(states, graph: Graph, gains: SolverGains, part: Partition,
@@ -585,11 +657,14 @@ def iterate_rounds(states, graph: Graph, gains: SolverGains, part: Partition,
             "gains use alpha_fraction; resolve the step size first (see resolve_alpha)")
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
-    red = _Reduced(*_stack_states(states, part, data, graph), graph, part, data)
-    W, S = red.W, red.S
+    red = _Reduced(*_stack_states(states, part, data, graph), graph, part, data,
+                   gains.k_P, gains.k_I, alpha)
+    Z, out = red.Z0, np.empty_like(red.Z0)
+    Zv, outv = red.views(Z), red.views(out)
     for _ in range(rounds):
-        W, S = _round(W, S, red, gains.k_P, gains.k_I, alpha)
-    return red.states(W, S)
+        _round(Zv, outv, red)
+        Z, out, Zv, outv = out, Z, outv, Zv
+    return red.states(Z)
 
 
 def tail_contraction(mean_history, tail_fraction: float = 0.5) -> float:

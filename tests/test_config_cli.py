@@ -9,7 +9,10 @@ import pytest
 
 from dkoopman import cli, dataio
 from dkoopman.config import ConfigError, from_dict, load_config, to_dict
+from dkoopman.consensus import spectral_report
+from dkoopman.graphs import laplacian
 from dkoopman.linalg import pseudoinverse
+from dkoopman.scenario import build_instance
 
 SMALL_SCENARIO = {"grid_side": 3, "num_agents": 3, "snapshots_per_agent": 6,
                   "seed": 9}
@@ -244,7 +247,26 @@ class TestExperimentCommand:
         n = SMALL_SCENARIO["grid_side"] ** 2
         assert spectral["rank"] == n  # N = 18 > n = 9 columns
         assert spectral["n_zero"] == spectral["n_zero_structural"] == 2 * n - n
-        assert len(spectral["spectrum_M"]) == len(spectral["spectrum_M_tilde"])
+        # M shares M~'s eigenvalues, so the report keeps only M's zero cutoff
+        assert "spectrum_M" not in spectral
+        run_cfg = load_config(write_config(tmp_path, cfg))
+        inst = build_instance(run_cfg.scenario, run_cfg.graph.preset, run_cfg.dictionary)
+        rep = spectral_report(inst.partition, inst.data, laplacian(inst.graph),
+                              run_cfg.gains.k_P, run_cfg.gains.k_I)
+        assert spectral["zero_tol_M"] == rep.spectrum_M.zero_tol
+
+    @pytest.mark.parametrize("scenario", [{}, {"snapshots_per_agent": 2}])
+    def test_repeated_runs_byte_identical(self, tmp_path, scenario):
+        # the desk instance (n = 16 <= N = 24), and n = 16 > N = 6, where the
+        # solver also takes the columns of its state in a basis of range(Y)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            cfg = {"scale": "desk", "scenario": scenario, "out_dir": str(out)}
+            assert cli.main(["experiment", "--config", write_config(tmp_path, cfg)]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_rich_dictionary_n_much_larger_than_N(self, tmp_path):
         # monomials up to degree 3 of 16 grid values: n = 969 features from

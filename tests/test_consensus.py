@@ -1,19 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dkoopman.consensus import (AgentState, NotSemiHurwitzError, SolverGains,
-                                StepSizeError, assemble_M, assemble_M_tilde,
+from dkoopman import consensus
+from dkoopman.consensus import (DIVERGENCE_GUARD, AgentState, NotSemiHurwitzError,
+                                SolverGains, StepSizeError, assemble_M, assemble_M_tilde,
                                 assemble_block_X, compute_alpha_max, compute_rho_max,
                                 initial_states, iterate_rounds, kkt_residual,
                                 manual_gains, partition_data, resolve_alpha, run,
                                 semi_hurwitz_check, spectral_report, step,
-                                tail_contraction, _quadratic_roots)
+                                tail_contraction, _quadratic_roots, _Reduced,
+                                _restricted_pair)
 from dkoopman.edmd import LiftedData, centralized_solve
 from dkoopman.graphs import (DisconnectedGraphError, build_graph, laplacian,
                              preset_graph)
-from dkoopman.linalg import Spectrum, eigenvalues, frobenius_norm, spectrum_distance
+from dkoopman.linalg import (Spectrum, eigenvalues, frobenius_norm, range_basis,
+                             spectrum_distance)
 from dkoopman.scenario import GridScenario, build_instance
 
 from test_graphs import random_graph
@@ -698,6 +703,137 @@ class TestReducedKernel:
         _, _, dense = dense_run(*_stacked(init), inst.graph, gains, inst.partition, inst.data)
         assert trace.converged
         assert trace.iterations == dense["kkt_residual"].size
+
+
+def _desk_instance(snapshots=8):
+    scn = GridScenario(grid_side=4, num_agents=3, snapshots_per_agent=snapshots,
+                       blob_count=6, drift=(1.0, 0.0), saturation_gain=1.0, seed=5,
+                       burn_in=0)
+    return build_instance(scn, "ring")
+
+
+class TestChunkedRun:
+    """``run`` computes its diagnostics for chunks of rounds at once; the
+    first round that stops or diverges must end the run wherever it falls."""
+
+    def test_stop_inside_a_chunk(self):
+        inst = _desk_instance()
+        rep = spectral_report(inst.partition, inst.data, laplacian(inst.graph), 5.0, 2.0)
+        gains = SolverGains(k_P=5.0, k_I=2.0, alpha=0.5 * rep.alpha_max, t_max=300,
+                            stop_tol=0.0)
+        init = initial_states(3, 16, "random", 1)
+        _, full = run(init, inst.graph, gains, inst.partition, inst.data)
+        # a tolerance the series first meets at round 150, the 22nd of its chunk
+        tol = float(np.nextafter(max(full.consensus_error[149], full.kkt_residual[149]),
+                                 np.inf))
+        meets = (full.consensus_error < tol) & (full.kkt_residual < tol)
+        stop = int(np.flatnonzero(meets)[0]) + 1
+        assert stop == 150
+        states, trace = run(init, inst.graph, replace(gains, stop_tol=tol),
+                            inst.partition, inst.data)
+        assert trace.converged and trace.iterations == stop
+        for name in ("consensus_error", "objective_mean", "fit_metric", "kkt_residual",
+                     "integral_sum_norm"):
+            assert np.array_equal(getattr(trace, name), getattr(full, name)[:stop]), name
+        prefix = iterate_rounds(init, inst.graph, gains, inst.partition, inst.data, stop)
+        for a, b in zip(states, prefix):
+            assert np.array_equal(a.K, b.K) and np.array_equal(a.R, b.R)
+
+    @pytest.mark.parametrize("theta, rounds", [(1.5, 48), (3.0, 21)])
+    def test_divergence_inside_a_chunk(self, theta, rounds):
+        # the sweep's unstable step sizes (desk instance, random init seed 7)
+        # against the guard evaluated round by round on the dense states
+        inst = _desk_instance()
+        data, graph = inst.data, inst.graph
+        rep = spectral_report(inst.partition, data, laplacian(graph), 5.0, 2.0)
+        gains = SolverGains(k_P=5.0, k_I=2.0, alpha=theta * rep.alpha_max, t_max=8000,
+                            stop_tol=0.0)
+        init = initial_states(3, 16, "random", 7)
+        _, trace = run(init, graph, gains, inst.partition, data)
+        K, R = _stacked(init)
+        guard = DIVERGENCE_GUARD * (1.0 + np.linalg.norm(data.Y) * np.linalg.norm(data.X)
+                                    + np.linalg.norm(K, axis=(1, 2)).max())
+        L, blocks = laplacian(graph).matrix, inst.partition.blocks(data)
+        for t in range(1, gains.t_max + 1):
+            K, R = dense_round(K, R, L, blocks, gains.k_P, gains.k_I, gains.alpha)
+            if np.linalg.norm(K, axis=(1, 2)).max() > guard:
+                break
+        assert trace.diverged and not trace.converged
+        assert trace.iterations == t == rounds
+        assert np.all(np.isfinite(trace.kkt_residual))
+
+    @pytest.mark.parametrize("init", ["zeros", "low-rank K"])
+    def test_left_basis_when_n_exceeds_N(self, init):
+        # n = 12 > N = 3: the columns of every K_i(t) lie in range(Y) plus
+        # those of K(0), 3 + 2 * 3 = 9 dimensions from a K(0) of rank 3
+        data, part, graph, r = _structural_case(2, 12, [1, 2], 3, 31)
+        rng = np.random.default_rng(31)
+        K0 = np.zeros((2, 12, 12))
+        if init == "low-rank K":
+            K0 = rng.standard_normal((2, 12, r)) @ range_basis(data.X).T
+        alpha = 0.5 * spectral_report(part, data, laplacian(graph), 2.0, 1.0).alpha_max
+        gains = SolverGains(k_P=2.0, k_I=1.0, alpha=alpha, t_max=100, stop_tol=0.0)
+        red = _Reduced(K0, np.zeros_like(K0), graph, part, data, 2.0, 1.0, alpha)
+        assert red.H.shape == (12, 3 if init == "zeros" else 9)
+        assert red.Z0.flags.c_contiguous and red.Z0.shape == (2 * 2 * r, red.H.shape[1])
+        states = [AgentState(K0[i], np.zeros((12, 12))) for i in range(2)]
+        out, trace = run(states, graph, gains, part, data, record_mean=True)
+        K, R, dense = dense_run(K0, np.zeros_like(K0), graph, gains, part, data)
+        size = np.linalg.norm(K) + np.linalg.norm(R)
+        assert np.linalg.norm(_stacked(out)[0] - K) <= 1e-12 * size
+        assert np.linalg.norm(_stacked(out)[1] - R) <= 1e-12 * size
+        hist_err = np.linalg.norm(trace.mean_history - dense["mean"], axis=(1, 2))
+        assert hist_err.max() <= 1e-12 * np.linalg.norm(dense["mean"], axis=(1, 2)).max()
+        s = np.linalg.norm(data.Y) + np.linalg.norm(K0) * np.linalg.norm(data.X)
+        assert np.all(np.abs(trace.fit_metric - dense["fit_metric"]) <= 2e-14 * s)
+
+    def test_no_left_basis_when_n_at_most_N(self):
+        data, part, graph, _ = _structural_case(3, 4, [2, 1, 2], 4, 32)
+        K0 = np.random.default_rng(32).standard_normal((3, 4, 4))
+        red = _Reduced(K0, np.zeros_like(K0), graph, part, data, 1.0, 1.0, 0.01)
+        assert red.H is None and red.Z0.shape == (2 * 3 * 4, 4)
+
+    def test_one_round_chunks(self, monkeypatch):
+        # the chunk length a huge state gets; the rounds are the same, and the
+        # diagnostics agree to roundoff
+        inst = _desk_instance()
+        gains = SolverGains(k_P=5.0, k_I=2.0, alpha=0.01, t_max=70, stop_tol=0.0)
+        init = initial_states(3, 16, "random", 2)
+        states, trace = run(init, inst.graph, gains, inst.partition, inst.data,
+                            record_mean=True)
+        monkeypatch.setattr(consensus, "_CHUNK_ROUNDS", 1)
+        states_1, trace_1 = run(init, inst.graph, gains, inst.partition, inst.data,
+                                record_mean=True)
+        assert trace_1.iterations == trace.iterations == 70
+        for a, b in zip(states, states_1):
+            assert np.array_equal(a.K, b.K) and np.array_equal(a.R, b.R)
+        for name in ("consensus_error", "objective_mean", "fit_metric", "kkt_residual",
+                     "integral_sum_norm", "mean_history"):
+            assert np.allclose(getattr(trace_1, name), getattr(trace, name),
+                               rtol=1e-14, atol=0.0), name
+
+    def test_mean_history_grows_across_chunks(self):
+        # 16 reserved rows doubled past several chunks of 32; each recorded
+        # mean against the mean of the states after that many rounds
+        inst = _desk_instance()
+        gains = SolverGains(k_P=5.0, k_I=2.0, alpha=0.01, t_max=100, stop_tol=0.0)
+        init = initial_states(3, 16, "random", 3)
+        _, trace = run(init, inst.graph, gains, inst.partition, inst.data,
+                       record_mean=True)
+        assert trace.mean_history.shape == (100, 16, 16)
+        for t in (1, 16, 17, 32, 33, 64, 65, 100):
+            out = iterate_rounds(init, inst.graph, gains, inst.partition, inst.data, t)
+            Kbar = _stacked(out)[0].mean(axis=0)
+            assert np.linalg.norm(trace.mean_history[t - 1] - Kbar) <= 1e-13 * np.linalg.norm(Kbar)
+
+    def test_round_operator_is_M_perp_transposed(self):
+        # P = I + alpha M_perp^T, M's block on the complement of range(X)
+        data, part, graph, _ = _structural_case(4, 5, [1, 1, 2, 1], 2, 33)
+        L = laplacian(graph).matrix
+        red = _Reduced(np.zeros((4, 5, 5)), np.zeros((4, 5, 5)), graph, part, data,
+                       3.0, 1.5, 0.02)
+        _, plain_perp = _restricted_pair(np.zeros((4, 4)), L, np.zeros((4, 4)), 3.0, 1.5)
+        assert np.array_equal(red.P, np.eye(8) + 0.02 * plain_perp.T)
 
 
 class TestTailContraction:

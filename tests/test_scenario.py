@@ -8,7 +8,7 @@ from dkoopman.consensus import SolverGains, initial_states, manual_gains, \
 from dkoopman.edmd import SnapshotSequence, centralized_solve, lift, \
     vectorization_dictionary
 from dkoopman.graphs import laplacian, preset_graph
-from dkoopman.scenario import (GridScenario, advance, build_instance, generate,
+from dkoopman.scenario import (GridScenario, _advect, advance, build_instance, generate,
                                make_experiment, sequential_widths, simulate_frames)
 
 DESK = GridScenario(grid_side=4, num_agents=3, snapshots_per_agent=8, blob_count=6,
@@ -76,6 +76,21 @@ class TestGenerate:
         direct = simulate_frames(scn, 5)
         full = simulate_frames(dataclasses.replace(scn, burn_in=0), 12)
         assert np.array_equal(direct, full[7:])
+
+    @pytest.mark.parametrize("drift", [(1.0, 0.0), (0.0, 0.0), (-2.0, 3.0), (0.4, 0.0),
+                                       (0.0, -1.3), (0.4, 0.7)])
+    def test_advect_matches_the_four_term_formula(self, drift):
+        # the bilinear shift with all four roll terms, zero weights included
+        u = np.random.default_rng(4).uniform(0.0, 1.0, (5, 5))
+        ix, iy = int(np.floor(drift[0])), int(np.floor(drift[1]))
+        fx, fy = drift[0] - ix, drift[1] - iy
+
+        def sh(a, b):
+            return np.roll(u, (a, b), axis=(0, 1))
+
+        full = ((1 - fx) * (1 - fy) * sh(ix, iy) + fx * (1 - fy) * sh(ix + 1, iy)
+                + (1 - fx) * fy * sh(ix, iy + 1) + fx * fy * sh(ix + 1, iy + 1))
+        assert _advect(u, *drift).tobytes() == full.tobytes()
 
 
 class TestNonlinearity:
