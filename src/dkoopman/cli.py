@@ -5,7 +5,8 @@ Subcommands: ``experiment`` (full pipeline, figure data + report.json),
 ``benchmark`` (wall-clock medians), ``gen`` (emit scenario frames), and
 ``solve-central`` (X.csv + Y.csv -> Kstar.csv).
 
-Exit codes: 0 success, 2 config error, 3 disconnected graph, 4 divergence.
+Exit codes: 0 success, 2 config error (an instance with no finite spectral
+analysis included), 3 disconnected graph, 4 divergence.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 
 from . import dataio
 from .config import ConfigError, RunConfig, load_config
-from .consensus import (initial_states, iterate_rounds, manual_gains, resolve_alpha,
-                        run, spectral_report, tail_contraction)
+from .consensus import (NotSemiHurwitzError, initial_states, iterate_rounds, manual_gains,
+                        resolve_alpha, run, spectral_report, tail_contraction)
 from .edmd import LiftedData, centralized_solve
 from .graphs import DisconnectedGraphError, Graph, GraphError, laplacian, parse_graph_text
 from .scenario import build_instance, make_experiment, simulate_frames
@@ -103,11 +104,11 @@ def cmd_alpha_sweep(cfg: RunConfig, thetas=None) -> int:
     report = spectral_report(inst.partition, inst.data, lap, base.k_P, base.k_I)
     n = inst.data.feature_dim
     record = base.t_max * n * n * 8 <= _HISTORY_BYTE_CAP
+    init = initial_states(inst.graph.p, n, cfg.init.mode, cfg.init.seed)  # run only reads it
 
     lines = ["theta,alpha,rho_max,converged,diverged,iterations,contraction"]
     for theta in thetas:
         alpha = theta * report.alpha_max
-        init = initial_states(inst.graph.p, n, cfg.init.mode, cfg.init.seed)
         _, trace = run(init, inst.graph, manual_gains(base, alpha),
                        inst.partition, inst.data, record_mean=record)
         rho = report.rho_max(alpha) if alpha < report.alpha_max else None
@@ -256,7 +257,7 @@ def main(argv=None) -> int:
     except DisconnectedGraphError as exc:
         print(f"graph error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, GraphError, OSError) as exc:
+    except (ConfigError, GraphError, NotSemiHurwitzError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

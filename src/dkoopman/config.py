@@ -190,7 +190,9 @@ def from_dict(raw: dict) -> RunConfig:
 
     dictionary = _expect(work.pop("dictionary", "vectorization"), str, "dictionary")
     try:  # dry run: a bad spec fails here, before any computation
-        parse_dictionary(dictionary, q=scenario.feature_dim, seed=scenario.seed)
+        if parse_dictionary(dictionary, q=scenario.feature_dim,
+                            seed=scenario.seed).output_dim < 1:
+            raise ValueError("the dictionary has no observables")
     except ValueError as exc:
         raise ConfigError(f"dictionary: {exc}") from exc
 
@@ -205,8 +207,8 @@ def from_dict(raw: dict) -> RunConfig:
     thetas = work.pop("sweep_thetas", [0.3, 0.5, 0.9])
     _expect(thetas, (list, tuple), "sweep_thetas")
     sweep_thetas = tuple(float(_expect(v, _NUMBER, "sweep_thetas")) for v in thetas)
-    if any(v <= 0 for v in sweep_thetas):
-        raise ConfigError("sweep_thetas: all values must be positive")
+    if not sweep_thetas or any(v <= 0 for v in sweep_thetas):
+        raise ConfigError("sweep_thetas: needs one or more values, all positive")
 
     repeats = int(_expect(work.pop("benchmark_repeats", 5), (int,), "benchmark_repeats"))
     if repeats < 1:

@@ -301,8 +301,7 @@ def _quadratic_roots(mu: np.ndarray, k_P: float, k_I: float) -> np.ndarray:
 
 
 def spectral_report(part: Partition, data: LiftedData, lap: Laplacian,
-                    k_P: float, k_I: float,
-                    zero_tol_factor: float = ZERO_TOL_FACTOR) -> SpectralReport:
+                    k_P: float, k_I: float) -> SpectralReport:
     """Spectrum of M~ from its invariant subspaces, and the step-size analysis.
 
     With Q an orthonormal basis of V = range(X) (rank r under the
@@ -310,9 +309,10 @@ def spectral_report(part: Partition, data: LiftedData, lap: Laplacian,
     like M~ from Q^T X_i and L^{1/2} kron I_r; it is solved densely.  On the
     complement, where the data Grams vanish, each Laplacian eigenvalue mu
     contributes the two roots of lambda^2 + k_P mu lambda + k_I mu = 0, n - r
-    times each.  The zero cutoffs are ``zero_tol_factor`` times the
+    times each.  The zero cutoffs are ``ZERO_TOL_FACTOR`` times the
     Frobenius norms of M~ and M, which the same split gives without forming
-    either matrix.
+    either matrix.  Gains so large that M~ or a cutoff is not finite raise
+    :class:`NotSemiHurwitzError`.
     """
     _check_assembly_inputs(lap, k_P, k_I)
     L = lap.matrix
@@ -328,12 +328,21 @@ def spectral_report(part: Partition, data: LiftedData, lap: Laplacian,
     mu, U = np.linalg.eigh(L)
     mu[0] = 0.0  # the single zero eigenvalue of a connected graph, made exact
     root = (U * np.sqrt(mu)) @ U.T
-    tilde_V, plain_V = _restricted_pair(gram, L, root, k_P, k_I)
-    tilde_perp, plain_perp = _restricted_pair(np.zeros((p, p)), L, root, k_P, k_I)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge gains: zero_tol rejects them
+        tilde_V, plain_V = _restricted_pair(gram, L, root, k_P, k_I)
+        tilde_perp, plain_perp = _restricted_pair(np.zeros((p, p)), L, root, k_P, k_I)
 
     def zero_tol(on_V, on_perp):
-        return zero_tol_factor * float(np.sqrt(frobenius_norm(on_V) ** 2
-                                               + (n - r) * frobenius_norm(on_perp) ** 2))
+        try:
+            with np.errstate(over="raise"):
+                tol = ZERO_TOL_FACTOR * float(np.sqrt(frobenius_norm(on_V) ** 2
+                                                      + (n - r) * frobenius_norm(on_perp) ** 2))
+        except (ValueError, ArithmeticError):  # non-finite entries, or a norm overflows
+            tol = np.inf
+        if not np.isfinite(tol):
+            raise NotSemiHurwitzError(
+                f"gains k_P={k_P:g}, k_I={k_I:g} overflow M~ or its zero cutoff")
+        return tol
 
     tol_t = zero_tol(tilde_V, tilde_perp)
     vals = np.concatenate([eigenvalues(tilde_V, zero_tol=tol_t).eigenvalues,
@@ -358,7 +367,7 @@ def resolve_alpha(gains: SolverGains, part: Partition, data: LiftedData,
     return gains.alpha_fraction * report.alpha_max
 
 
-def _stack_states(states, part, data, graph):
+def _check_states(states, part, data, graph):
     if len(states) != graph.p or part.p != graph.p:
         raise ValueError(
             f"got {len(states)} states, partition p={part.p}, graph p={graph.p}")
@@ -366,9 +375,6 @@ def _stack_states(states, part, data, graph):
     for s in states:
         if s.K.shape != (n, n):
             raise ValueError(f"state shape {s.K.shape} != ({n}, {n})")
-    K = np.stack([s.K for s in states]).astype(float)
-    R = np.stack([s.R for s in states]).astype(float)
-    return K, R
 
 
 # A chunk keeps its rounds and their diagnostics within this many bytes, so
@@ -407,12 +413,13 @@ class _Reduced:
                  k_P: float, k_I: float, alpha: float):
         Q = range_basis(data.X)
         n, r = Q.shape
-        p = K.shape[0]
-        if r == n or not (K.any() or R.any()):  # nothing lies outside range(X)
+        p = len(K)  # K and R: sequences of the n x n K_i(0) and R_i(0), only read
+        if r == n or not any(M.any() for M in (*K, *R)):  # nothing lies outside range(X)
             B = Q
         else:
-            B = extend_basis(Q, np.concatenate([K.reshape(-1, n), R.reshape(-1, n)]))
-        WS = np.concatenate([K @ B, R @ B])  # (2p, n, b): the initial W_i, then S_i
+            B = extend_basis(Q, np.concatenate([*K, *R]))
+        # one product per agent: a single one on all the rows rounds differently
+        WS = np.stack([M @ B for M in (*K, *R)])  # (2p, n, b): the initial W_i, then S_i
         b = B.shape[1]
         span = [data.Y] + [M.transpose(1, 0, 2).reshape(n, -1)
                            for M in (WS[:p], WS[p:]) if M.any()]
@@ -510,7 +517,8 @@ def kkt_residual(states, part: Partition, data: LiftedData, graph: Graph) -> flo
     the first-order optimality conditions of the consensus-constrained
     problem hold.
     """
-    K, _ = _stack_states(states, part, data, graph)
+    _check_states(states, part, data, graph)
+    K = np.stack([s.K for s in states])
     Kbar = K.mean(axis=0)
     stationarity = float(np.linalg.norm((Kbar @ data.X - data.Y) @ data.X.T, "fro"))
     return stationarity + _edge_disagreement(K, graph.edges)
@@ -562,12 +570,12 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     """
     if not is_connected(graph):
         raise DisconnectedGraphError("solver requires a connected communication graph")
-    K, R = _stack_states(init, part, data, graph)
-    if float(np.abs(R).max(initial=0.0)) != 0.0:
+    _check_states(init, part, data, graph)
+    if any(s.R.any() for s in init):
         raise ValueError("integral states must start at zero")
     alpha = resolve_alpha(gains, part, data, laplacian(graph))
-    red = _Reduced(K, R, graph, part, data, gains.k_P, gains.k_I, alpha)
-    del K, R  # the (p, n, n) stacks are not needed during the rounds
+    red = _Reduced([s.K for s in init], [s.R for s in init], graph, part, data,
+                   gains.k_P, gains.k_I, alpha)
     p, b, d, pb = red.p, red.b, red.d, red.p * red.b
     n, N, m, t_max = data.feature_dim, data.num_samples, len(graph.edges), gains.t_max
     # [edge incidence; 1^T / p]: one matmul gives the edge differences and the mean
@@ -657,7 +665,8 @@ def iterate_rounds(states, graph: Graph, gains: SolverGains, part: Partition,
             "gains use alpha_fraction; resolve the step size first (see resolve_alpha)")
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
-    red = _Reduced(*_stack_states(states, part, data, graph), graph, part, data,
+    _check_states(states, part, data, graph)
+    red = _Reduced([s.K for s in states], [s.R for s in states], graph, part, data,
                    gains.k_P, gains.k_I, alpha)
     Z, out = red.Z0, np.empty_like(red.Z0)
     Zv, outv = red.views(Z), red.views(out)

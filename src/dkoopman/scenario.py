@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import (AgentState, Partition, RunTrace, SolverGains, SpectralReport,
+from .consensus import (Partition, RunTrace, SolverGains, SpectralReport,
                         StepSizeError, initial_states, manual_gains, partition_data,
                         run, spectral_report)
 from .edmd import (Dictionary, KoopmanModel, LiftedData, SnapshotSequence,
@@ -229,7 +229,6 @@ class ExperimentReport:
     alpha_max: float
     rho_max: float | None
     kkt_final: float
-    states: list[AgentState]
     instance: Instance
 
 
@@ -237,7 +236,6 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
                     rollout_steps: int = 10, rollout_start: str = "last_train",
                     dictionary_spec: str = "vectorization",
                     init_mode: str = "zeros", init_seed: int = 0,
-                    record_mean: bool = False,
                     rank_tol: float | None = None) -> ExperimentReport:
     """Run the full pipeline and assemble all figure datasets.
 
@@ -268,10 +266,11 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
 
     init = initial_states(inst.graph.p, inst.data.feature_dim, init_mode, init_seed)
     states, trace = run(init, inst.graph, manual_gains(gains, alpha),
-                        inst.partition, inst.data, record_mean=record_mean)
+                        inst.partition, inst.data)
+    K_ave = KoopmanModel(np.mean([s.K for s in states], axis=0))
+    del init, states  # nothing reads the agent states past their mean
 
     K_star = centralized_solve(inst.data, rank_tol)
-    K_ave = KoopmanModel(np.mean([s.K for s in states], axis=0))
 
     N = scn.num_samples
     if rollout_start == "last_train":
@@ -296,6 +295,5 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
         alpha_max=spectral.alpha_max,
         rho_max=rho_max,
         kkt_final=float(trace.kkt_residual[-1]),
-        states=states,
         instance=inst,
     )

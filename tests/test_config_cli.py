@@ -195,12 +195,24 @@ class TestExperimentCommand:
         ({"scenario": {"drift": ["x", 0]}}, "scenario.drift"),
         ({"gains": {"theta": "0.5"}}, "gains.theta"),
         ({"sweep_thetas": [0.5, "x"]}, "sweep_thetas"),
+        ({"dictionary": "radial:0:1.0"}, "dictionary"),
+        ({"sweep_thetas": []}, "sweep_thetas"),
     ])
     def test_malformed_leaf_exit_2(self, tmp_path, capsys, cfg, where):
         path = write_config(tmp_path, cfg)
         assert cli.main(["experiment", "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert where in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["experiment", "alpha-sweep"])
+    @pytest.mark.parametrize("k_P", [1e160, 1e308])
+    def test_overflowing_gains_exit_2(self, tmp_path, capsys, command, k_P):
+        # 1e160 overflows the zero cutoff (0 * inf when r = n), 1e308 M~ itself
+        path = write_config(tmp_path, {"gains": {"k_P": k_P, "k_I": 1}})
+        assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "k_P=" in err and len(err.splitlines()) == 1 and "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_ints_accepted_where_floats_expected(self):

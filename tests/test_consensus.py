@@ -704,6 +704,27 @@ class TestReducedKernel:
         assert trace.converged
         assert trace.iterations == dense["kkt_residual"].size
 
+    @pytest.mark.parametrize("case", ["zeros", "random K, n > N", "random R"])
+    def test_inputs_not_written(self, case):
+        # run and iterate_rounds read the agents' K_i and R_i in place, and the
+        # sweep passes one start to every run
+        if case == "zeros":
+            inst = _desk_instance()
+            data, part, graph = inst.data, inst.partition, inst.graph
+            states = initial_states(3, 16)
+        else:
+            data, part, graph, _ = _structural_case(3, 12, [1, 2, 1], 3, 34)
+            rng = np.random.default_rng(34)
+            states = [AgentState(rng.uniform(-1.0, 1.0, (12, 12)),
+                                 rng.uniform(-1.0, 1.0, (12, 12)) if case == "random R"
+                                 else np.zeros((12, 12))) for _ in range(3)]
+        before = [(s.K.tobytes(), s.R.tobytes()) for s in states]
+        gains = SolverGains(k_P=2.0, k_I=1.0, alpha=0.01, t_max=40, stop_tol=0.0)
+        if case != "random R":  # run needs R(0) = 0
+            run(states, graph, gains, part, data, record_mean=True)
+        iterate_rounds(states, graph, gains, part, data, 40)
+        assert [(s.K.tobytes(), s.R.tobytes()) for s in states] == before
+
 
 def _desk_instance(snapshots=8):
     scn = GridScenario(grid_side=4, num_agents=3, snapshots_per_agent=snapshots,
