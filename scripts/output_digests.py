@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""sha256 of every output file of a fixed set of CLI runs.
+
+Runs, each into its own directory under one temporary directory:
+
+* ``experiment`` on desk, seeds 5 and 3;
+* ``experiment`` on paper, seeds 7 and 3;
+* ``experiment`` on paper with a random start and ``t_max`` 30;
+* ``alpha-sweep`` on sweep, seeds 5 and 3.
+
+Prints one line per output file, ``<sha256>  <run>/<file>``, in the run
+order above and by file name within a run.  BLAS is pinned to one thread
+before numpy loads, so the digests do not depend on the thread count.  The package is imported from
+this checkout's ``src``, and nothing is written inside the checkout.  To
+compare two revisions, run the script in each checkout and diff the output:
+
+    python3 scripts/output_digests.py > after.txt
+"""
+
+import os
+import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+sys.dont_write_bytecode = True
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from dkoopman.cli import main  # noqa: E402
+
+CONFIGS = ROOT / "configs"
+RANDOM_PAPER = {"scale": "paper", "init": {"mode": "random"}, "t_max": 30}
+
+
+def runs(tmp: Path) -> list[tuple[str, list[str]]]:
+    """(run name, CLI arguments without ``--out``) in the order listed above."""
+    random_cfg = tmp / "paper_random.json"
+    random_cfg.write_text(json.dumps(RANDOM_PAPER), encoding="utf-8")
+
+    def seeded(name, command, seeds):
+        config = str(CONFIGS / f"{name}.json")
+        return [(f"{name}-seed{seed}", [command, "--config", config, "--seed", str(seed)])
+                for seed in seeds]
+
+    return [*seeded("desk", "experiment", (5, 3)), *seeded("paper", "experiment", (7, 3)),
+            ("paper-random-t30", ["experiment", "--config", str(random_cfg)]),
+            *seeded("sweep", "alpha-sweep", (5, 3))]
+
+
+def main_digests() -> int:
+    with tempfile.TemporaryDirectory(prefix="output_digests.") as tmp:
+        tmp = Path(tmp)
+        lines = []
+        for run, argv in runs(tmp):
+            out = tmp / "runs" / run
+            with contextlib.redirect_stdout(sys.stderr):
+                rc = main(argv + ["--out", str(out)])
+            if rc != 0:
+                print(f"{run}: exit {rc}", file=sys.stderr)
+                return 1
+            lines += [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {run}/{path.name}"
+                      for path in sorted(out.iterdir())]
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digests())

@@ -12,9 +12,9 @@ analysis included), 3 disconnected graph, 4 divergence.
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -168,9 +168,9 @@ def cmd_benchmark(cfg: RunConfig) -> int:
 
     out = Path(cfg.out_dir)
     dataio.write_json(out / "benchmark.json", {
-        "centralized_solve_ms": statistics.median(central_ms),
-        "distributed_iteration_ms": statistics.median(iter_ms),
-        "distributed_total_ms": statistics.median(total_ms),
+        "centralized_solve_ms": float(np.median(central_ms)),
+        "distributed_iteration_ms": float(np.median(iter_ms)),
+        "distributed_total_ms": float(np.median(total_ms)),
         "run_iterations": iterations,
         "rounds_timed": rounds,
         "repeats": reps,
@@ -190,13 +190,13 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 def cmd_solve_central(x_path, y_path, out_dir) -> int:
     try:
-        X = dataio.read_matrix_csv(x_path)
-        Y = dataio.read_matrix_csv(y_path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read data matrices: {exc}") from exc
-    if X.shape != Y.shape:
-        raise ConfigError(f"X shape {X.shape} != Y shape {Y.shape}")
-    model = centralized_solve(LiftedData(X=X, Y=Y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # numpy's warning on an empty file
+            data = LiftedData(X=dataio.read_matrix_csv(x_path),
+                              Y=dataio.read_matrix_csv(y_path))
+    except (OSError, ValueError, UserWarning) as exc:
+        raise ConfigError(f"bad data matrices: {exc}") from exc
+    model = centralized_solve(data)
     out = Path(out_dir)
     dataio.write_matrix_csv(out / "Kstar.csv", model.K)
     print(f"wrote {out / 'Kstar.csv'}")

@@ -49,8 +49,26 @@ def _csv_text(template: str, rows, header: tuple[str, ...] = ()) -> str:
 
 
 def write_matrix_csv(path, matrix) -> None:
+    """One ``%.17g`` line per row, each distinct row formatted once.
+
+    Rows are keyed by their bytes, so -0.0 and 0.0 (and NaN payloads) stay
+    apart and every line has the text it would have on its own.  Operators
+    fitted to the paper-scale data repeat rows: every pixel runs the same
+    logistic cycle in one of a few phases, so K*, K_ave and their difference
+    inherit bit-identical rows.
+    """
     arr = np.atleast_2d(np.asarray(matrix, dtype=float))
-    atomic_write_text(path, _csv_text(",".join(["%.17g"] * arr.shape[1]), arr))
+    template = ",".join(["%.17g"] * arr.shape[1])
+    lines: dict[bytes, str] = {}
+
+    def line(row) -> str:
+        key = row.tobytes()
+        text = lines.get(key)
+        if text is None:
+            text = lines[key] = template % tuple(row)
+        return text
+
+    atomic_write_text(path, "\n".join([line(row) for row in arr]) + "\n")
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -135,8 +135,9 @@ class LiftedData:
         if X.ndim != 2 or X.shape != Y.shape:
             raise DimensionError(
                 f"X and Y must be 2-D with identical shape, got {X.shape} / {Y.shape}")
-        if X.shape[1] < 1:
-            raise DimensionError("need at least one data column")
+        if X.size == 0:
+            raise DimensionError(f"need at least one feature and one data column, "
+                                 f"got shape {X.shape}")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
             raise ValueError("lifted data contains non-finite entries")
         object.__setattr__(self, "X", X)

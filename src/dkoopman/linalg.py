@@ -116,12 +116,13 @@ def pseudoinverse(a, rank_tol: float | None = None) -> np.ndarray:
     return (vt.T * s_inv) @ u.T
 
 
-def range_basis(a) -> np.ndarray:
+def range_basis(a, rank_tol: float | None = None) -> np.ndarray:
     """Orthonormal basis of range(A), one column per singular value above
-    the default :func:`pseudoinverse` cutoff."""
+    the :func:`pseudoinverse` cutoff for the same ``rank_tol``, so it spans
+    exactly the directions that ``pseudoinverse(a, rank_tol)`` inverts."""
     arr = as_matrix(a)
     u, s, _ = np.linalg.svd(arr, full_matrices=False)
-    return u[:, s > _rank_cutoff(arr.shape, s, None)]
+    return u[:, s > _rank_cutoff(arr.shape, s, rank_tol)]
 
 
 def extend_basis(q, rows) -> np.ndarray:

@@ -24,7 +24,7 @@ from .consensus import (Partition, RunTrace, SolverGains, SpectralReport,
 from .edmd import (Dictionary, KoopmanModel, LiftedData, SnapshotSequence,
                    centralized_solve, lift, parse_dictionary, rollout)
 from .graphs import DisconnectedGraphError, Graph, is_connected, laplacian, preset_graph
-from .linalg import eigenvalues
+from .linalg import eigenvalues, range_basis
 
 
 @dataclass(frozen=True)
@@ -232,6 +232,21 @@ class ExperimentReport:
     instance: Instance
 
 
+def _operator_spectrum(K: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
+    """Eigenvalues of an n x n operator whose rows lie in range(``basis``).
+
+    With B = ``basis`` orthonormal (n x b) and K = K B B^T, the spectrum of
+    K is that of the b x b core B^T K B (the projected operator of exact
+    DMD) plus n - b exact zeros.  Without a basis, or with b == n, the core
+    is K itself, so the result is the dense ``eigenvalues(K)``.
+    """
+    if basis is None or basis.shape[1] == K.shape[0]:
+        return eigenvalues(K).eigenvalues
+    n, b = basis.shape
+    core = basis.T @ K @ basis
+    return np.concatenate([eigenvalues(core).eigenvalues, np.zeros(n - b, dtype=complex)])
+
+
 def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "ring",
                     rollout_steps: int = 10, rollout_start: str = "last_train",
                     dictionary_spec: str = "vectorization",
@@ -265,12 +280,17 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
         rho_max = None
 
     init = initial_states(inst.graph.p, inst.data.feature_dim, init_mode, init_seed)
+    zero_start = not any(s.K.any() for s in init)
     states, trace = run(init, inst.graph, manual_gains(gains, alpha),
                         inst.partition, inst.data)
     K_ave = KoopmanModel(np.mean([s.K for s in states], axis=0))
     del init, states  # nothing reads the agent states past their mean
 
     K_star = centralized_solve(inst.data, rank_tol)
+    # K* = Y pinv(X) has its rows in the range of X that the pseudoinverse
+    # keeps; from a zero start every K_i(t) = W_i Q^T has them in range(X)
+    Q = range_basis(inst.data.X)
+    basis_star = Q if rank_tol is None else range_basis(inst.data.X, rank_tol)
 
     N = scn.num_samples
     if rollout_start == "last_train":
@@ -285,8 +305,8 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
     return ExperimentReport(
         K_star=K_star,
         K_ave=K_ave,
-        spectrum_K_star=eigenvalues(K_star.K).eigenvalues,
-        spectrum_K_ave=eigenvalues(K_ave.K).eigenvalues,
+        spectrum_K_star=_operator_spectrum(K_star.K, basis_star),
+        spectrum_K_ave=_operator_spectrum(K_ave.K, Q if zero_start else None),
         diff_matrix=np.abs(K_ave.K - K_star.K),
         trace=trace,
         rollout_error=rollout_error,

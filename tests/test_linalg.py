@@ -145,6 +145,15 @@ class TestRangeBasis:
     def test_zero_matrix_has_empty_basis(self):
         assert range_basis(np.zeros((4, 3))).shape == (4, 0)
 
+    def test_rank_tol_matches_the_pseudoinverse(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 7)) \
+            + 1e-9 * rng.standard_normal((6, 7))
+        assert range_basis(a).shape == (6, 6)
+        q = range_basis(a, rank_tol=1e-6)
+        assert q.shape == (6, 2)
+        assert np.allclose(q @ q.T, a @ pseudoinverse(a, rank_tol=1e-6), atol=1e-12)
+
 
 class TestExtendBasis:
     def test_rows_inside_add_nothing(self):

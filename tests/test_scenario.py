@@ -2,14 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dkoopman.consensus import SolverGains, initial_states, manual_gains, \
     partition_data, run, spectral_report
 from dkoopman.edmd import SnapshotSequence, centralized_solve, lift, \
     vectorization_dictionary
 from dkoopman.graphs import laplacian, preset_graph
-from dkoopman.scenario import (GridScenario, _advect, advance, build_instance, generate,
-                               make_experiment, sequential_widths, simulate_frames)
+from dkoopman.linalg import eigenvalues, range_basis, spectrum_distance
+from dkoopman.scenario import (GridScenario, _advect, _operator_spectrum, advance,
+                               build_instance, generate, make_experiment,
+                               sequential_widths, simulate_frames)
 
 DESK = GridScenario(grid_side=4, num_agents=3, snapshots_per_agent=8, blob_count=6,
                     drift=(1.0, 0.0), diffusion=0.0, saturation_gain=1.0, seed=5,
@@ -201,3 +205,44 @@ class TestExperiment:
         assert inst.graph is graph
         with pytest.raises(ValueError):
             build_instance(scn, preset_graph("ring", 4))
+
+
+class TestOperatorSpectrum:
+    # gap between the core spectrum and the dense eigenvalues(K), the oracle,
+    # in units of ||K||_F; perfbench allows 1e-9 for the written spectra
+    TOL = 1e-10
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 12), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_core_spectrum_matches_dense(self, n, N, r, set_tol, seed):
+        """K = A B^T with B = range_basis(X, rank_tol) for an X of rank r.
+
+        Covers n > b, r = 0 (an all-zero X, so b = 0 and K = 0), b = n, and a
+        set ``rank_tol`` that drops a 1e-12 full-rank perturbation of X.  The
+        result holds the core eigenvalues then exactly n - b zeros, and lies
+        within TOL ||K||_F of the dense spectrum under ``spectrum_distance``;
+        for b = n it is the dense result, bit for bit.
+        """
+        rng = np.random.default_rng(seed)
+        r = min(r, n, N)
+        X = rng.standard_normal((n, r)) @ rng.standard_normal((r, N))
+        rank_tol = None
+        if set_tol:
+            X += 1e-12 * rng.standard_normal((n, N))
+            rank_tol = 1e-8
+        B = range_basis(X, rank_tol)
+        b = B.shape[1]
+        K = rng.standard_normal((n, b)) @ B.T
+        dense = eigenvalues(K).eigenvalues
+        got = _operator_spectrum(K, B)
+        if b == n:
+            assert np.array_equal(got, dense)
+            return
+        assert got.shape == (n,)
+        assert np.all(got[b:] == 0) and not np.any(np.signbit(got[b:].real))
+        assert spectrum_distance(got, dense) <= self.TOL * np.linalg.norm(K)
+
+    def test_no_basis_is_the_dense_spectrum(self):
+        K = np.random.default_rng(1).standard_normal((6, 6))
+        assert np.array_equal(_operator_spectrum(K, None), eigenvalues(K).eigenvalues)
