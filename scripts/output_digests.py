@@ -6,7 +6,8 @@ Runs, each into its own directory under one temporary directory:
 * ``experiment`` on desk, seeds 5 and 3;
 * ``experiment`` on paper, seeds 7 and 3;
 * ``experiment`` on paper with a random start and ``t_max`` 30;
-* ``alpha-sweep`` on sweep, seeds 5 and 3.
+* ``alpha-sweep`` on sweep, seeds 5 and 3;
+* ``alpha-sweep --scale paper``.
 
 Prints one line per output file, ``<sha256>  <run>/<file>``, in the run
 order above and by file name within a run.  BLAS is pinned to one thread
@@ -51,7 +52,8 @@ def runs(tmp: Path) -> list[tuple[str, list[str]]]:
 
     return [*seeded("desk", "experiment", (5, 3)), *seeded("paper", "experiment", (7, 3)),
             ("paper-random-t30", ["experiment", "--config", str(random_cfg)]),
-            *seeded("sweep", "alpha-sweep", (5, 3))]
+            *seeded("sweep", "alpha-sweep", (5, 3)),
+            ("paper-sweep", ["alpha-sweep", "--scale", "paper"])]
 
 
 def main_digests() -> int:

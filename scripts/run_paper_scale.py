@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Large-scale experiment preset (20x20 grid, 3 agents, 3 snapshots each, N=9).
 
-The 1,000 consensus rounds at n = 400 dominate the runtime. Figure data
-lands in out/paper.
+Figure data lands in out/paper.
 """
 
 import sys

@@ -27,9 +27,6 @@ from .edmd import LiftedData, centralized_solve
 from .graphs import DisconnectedGraphError, Graph, GraphError, laplacian, parse_graph_text
 from .scenario import build_instance, make_experiment, simulate_frames
 
-# keep recorded mean-operator history under this many bytes in the sweep
-_HISTORY_BYTE_CAP = 2 * 10**8
-
 
 def _resolve_graph(cfg: RunConfig) -> str | Graph:
     if cfg.graph.edge_file is None:
@@ -103,17 +100,17 @@ def cmd_alpha_sweep(cfg: RunConfig, thetas=None) -> int:
     base = cfg.solver_gains()
     report = spectral_report(inst.partition, inst.data, lap, base.k_P, base.k_I)
     n = inst.data.feature_dim
-    record = base.t_max * n * n * 8 <= _HISTORY_BYTE_CAP
     init = initial_states(inst.graph.p, n, cfg.init.mode, cfg.init.seed)  # run only reads it
 
     lines = ["theta,alpha,rho_max,converged,diverged,iterations,contraction"]
     for theta in thetas:
         alpha = theta * report.alpha_max
         _, trace = run(init, inst.graph, manual_gains(base, alpha),
-                       inst.partition, inst.data, record_mean=record)
+                       inst.partition, inst.data, record_mean=True)
         rho = report.rho_max(alpha) if alpha < report.alpha_max else None
         contraction = (tail_contraction(trace.mean_history)
-                       if record and not trace.diverged else float("nan"))
+                       if trace.mean_history is not None and not trace.diverged
+                       else float("nan"))
         lines.append(",".join([
             f"{theta:.17g}", f"{alpha:.17g}",
             "" if rho is None else f"{rho:.17g}",
@@ -246,8 +243,8 @@ def main(argv=None) -> int:
                     thetas = [float(v) for v in args.thetas.split(",") if v.strip()]
                 except ValueError as exc:
                     raise ConfigError(f"bad --thetas value: {exc}") from exc
-                if not thetas or any(v <= 0 for v in thetas):
-                    raise ConfigError("--thetas needs positive comma-separated values")
+                if not thetas or not all(0 < v < np.inf for v in thetas):
+                    raise ConfigError("--thetas needs positive finite comma-separated values")
             return cmd_alpha_sweep(cfg, thetas)
         if args.command == "benchmark":
             return cmd_benchmark(cfg)

@@ -9,6 +9,7 @@ fast full-row-rank setup, "paper" the 20 x 20 grid with N = 9).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,9 +102,10 @@ class RunConfig:
 
 
 def _expect(value, types, path: str):
-    if not isinstance(value, types) or isinstance(value, bool) and bool not in (
-            types if isinstance(types, tuple) else (types,)):
-        names = "/".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
+    types = types if isinstance(types, tuple) else (types,)
+    if (not isinstance(value, types) or isinstance(value, bool) and bool not in types
+            or isinstance(value, float) and not math.isfinite(value)):  # JSON NaN, Infinity
+        names = "/".join(t.__name__ for t in types)
         raise ConfigError(f"{path}: expected {names}, got {value!r}")
     return value
 

@@ -383,6 +383,7 @@ def _check_states(states, part, data, graph):
 # nothing), and a huge state is not held 32 times.
 _CHUNK_BYTES = 2 * 2**20
 _CHUNK_ROUNDS = 32
+_HISTORY_BYTE_CAP = 2 * 10**8  # the largest mean history ``run`` records
 
 
 class _Reduced:
@@ -485,7 +486,9 @@ class RunTrace:
     ``objective_mean`` the squared-residual objective of the mean operator,
     ``kkt_residual`` the stationarity norm of the mean operator plus the
     consensus error, and ``integral_sum_norm`` is ||sum_i R_i||_F.
-    ``mean_history`` (iterations, n, n) is stored only when requested.
+    ``mean_history`` (iterations, b, d) is Zbar(t), Kbar(t) = H Zbar(t)^T B^T
+    in the orthonormal bases of :class:`_Reduced`, and ``row_basis`` is B; the
+    history is None unless requested and within ``_HISTORY_BYTE_CAP``.
     """
 
     consensus_error: np.ndarray
@@ -497,6 +500,7 @@ class RunTrace:
     converged: bool
     diverged: bool
     mean_history: np.ndarray | None = None
+    row_basis: np.ndarray | None = None
 
     @property
     def iterations(self) -> int:
@@ -557,8 +561,9 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     early on convergence (consensus error and KKT residual both below
     ``gains.stop_tol``) or on divergence (any state norm exceeding 1e12
     times the initial data scale; reported through ``trace.diverged``, not
-    an exception).  The run is a pure function of its inputs: repeated
-    calls give bit-identical traces.
+    an exception; the states returned are the finite ones that entered the
+    round tripping the guard, which the trace includes).  The run is a pure
+    function of its inputs: repeated calls give bit-identical traces.
 
     The rounds and the diagnostics run in the reduced coordinates of
     :class:`_Reduced`: with B and H orthonormal, ||K_i - K_j||_F =
@@ -574,10 +579,11 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     if any(s.R.any() for s in init):
         raise ValueError("integral states must start at zero")
     alpha = resolve_alpha(gains, part, data, laplacian(graph))
-    red = _Reduced([s.K for s in init], [s.R for s in init], graph, part, data,
-                   gains.k_P, gains.k_I, alpha)
+    with np.errstate(over="ignore"):  # alpha G_i or alpha L overflows: the first round diverges
+        red = _Reduced([s.K for s in init], [s.R for s in init], graph, part, data,
+                       gains.k_P, gains.k_I, alpha)
     p, b, d, pb = red.p, red.b, red.d, red.p * red.b
-    n, N, m, t_max = data.feature_dim, data.num_samples, len(graph.edges), gains.t_max
+    N, m, t_max = data.num_samples, len(graph.edges), gains.t_max
     # [edge incidence; 1^T / p]: one matmul gives the edge differences and the mean
     mix = np.vstack([_incidence(graph), np.full((1, p), 1.0 / p)])
 
@@ -595,7 +601,8 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     diag = np.empty((k, m + 3, b * d))
     res = np.empty((k, p + 1, N, d))
     series = np.empty((5, min(t_max, 16)))
-    mean_hist = np.empty((min(t_max, 16), n, n)) if record_mean else None
+    record = record_mean and t_max * b * d * 8 <= _HISTORY_BYTE_CAP
+    mean_hist = np.empty((min(t_max, 16), b, d)) if record else None
     t, converged, diverged = 0, False, False
 
     # a diverging chunk overflows in the rounds after the one that trips the
@@ -634,18 +641,14 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
             series[:, t:t + kc] = (cons[:kc], 0.5 * res_norms[:kc, 0] ** 2,
                                    res_norms[:kc, 1:].sum(axis=1) / p, kkt[:kc],
                                    norms[:kc, m + 2])
-            if record_mean:
+            if record:
                 mean_hist = _reserve(mean_hist, t + kc, t_max, axis=0)
-                Kbar_t = Wbar[:kc].transpose(0, 2, 1)  # (kc, d, b)
-                if red.H is None:
-                    np.matmul(Kbar_t, red.B.T, out=mean_hist[t:t + kc])
-                else:
-                    np.matmul(red.H, Kbar_t @ red.B.T, out=mean_hist[t:t + kc])
+                mean_hist[t:t + kc] = Wbar[:kc]
             t += kc
-            buf[0] = buf[kc]
+            buf[0] = buf[kc - 1 if diverged else kc]
 
     trace = RunTrace(*series[:, :t], alpha=alpha, converged=converged, diverged=diverged,
-                     mean_history=mean_hist[:t] if record_mean else None)
+                     mean_history=mean_hist[:t] if record else None, row_basis=red.B)
     return red.states(buf[0]), trace
 
 
@@ -679,10 +682,11 @@ def iterate_rounds(states, graph: Graph, gains: SolverGains, part: Partition,
 def tail_contraction(mean_history, tail_fraction: float = 0.5) -> float:
     """Geometric-mean per-iteration contraction toward the final mean operator.
 
-    Distances d(t) = ||Kbar(t) - Kbar(final)||_F are measured over the
-    trailing ``tail_fraction`` window (the final point itself, where d = 0
-    by construction, is excluded).  Returns NaN when the window is too
-    short or the distances have already hit exact zero.
+    Distances d(t) = ||Kbar(t) - Kbar(final)||_F, which the orthonormal
+    bases of the (t, b, d) ``RunTrace.mean_history`` preserve, are measured
+    over the trailing ``tail_fraction`` window (the final point itself,
+    where d = 0 by construction, is excluded).  Returns NaN when the window
+    is too short or the distances have already hit exact zero.
     """
     H = np.asarray(mean_history, dtype=float)
     if H.ndim != 3 or H.shape[0] < 4:

@@ -280,17 +280,12 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
         rho_max = None
 
     init = initial_states(inst.graph.p, inst.data.feature_dim, init_mode, init_seed)
-    zero_start = not any(s.K.any() for s in init)
     states, trace = run(init, inst.graph, manual_gains(gains, alpha),
                         inst.partition, inst.data)
     K_ave = KoopmanModel(np.mean([s.K for s in states], axis=0))
     del init, states  # nothing reads the agent states past their mean
 
     K_star = centralized_solve(inst.data, rank_tol)
-    # K* = Y pinv(X) has its rows in the range of X that the pseudoinverse
-    # keeps; from a zero start every K_i(t) = W_i Q^T has them in range(X)
-    Q = range_basis(inst.data.X)
-    basis_star = Q if rank_tol is None else range_basis(inst.data.X, rank_tol)
 
     N = scn.num_samples
     if rollout_start == "last_train":
@@ -305,8 +300,9 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
     return ExperimentReport(
         K_star=K_star,
         K_ave=K_ave,
-        spectrum_K_star=_operator_spectrum(K_star.K, basis_star),
-        spectrum_K_ave=_operator_spectrum(K_ave.K, Q if zero_start else None),
+        # the rows of K* = Y pinv(X) lie in the range pinv inverts, those of K_ave in B
+        spectrum_K_star=_operator_spectrum(K_star.K, range_basis(inst.data.X, rank_tol)),
+        spectrum_K_ave=_operator_spectrum(K_ave.K, trace.row_basis),
         diff_matrix=np.abs(K_ave.K - K_star.K),
         trace=trace,
         rollout_error=rollout_error,

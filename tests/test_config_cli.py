@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dkoopman import cli, dataio
+from dkoopman import cli, consensus, dataio
 from dkoopman.config import ConfigError, from_dict, load_config, to_dict
-from dkoopman.consensus import spectral_report
+from dkoopman.consensus import SolverGains, initial_states, run, spectral_report
 from dkoopman.graphs import laplacian
 from dkoopman.edmd import centralized_solve
 from dkoopman.linalg import eigenvalues, pseudoinverse, spectrum_distance
@@ -212,6 +212,10 @@ class TestExperimentCommand:
         ({"sweep_thetas": [0.5, "x"]}, "sweep_thetas"),
         ({"dictionary": "radial:0:1.0"}, "dictionary"),
         ({"sweep_thetas": []}, "sweep_thetas"),
+        ({"sweep_thetas": [float("nan")]}, "sweep_thetas"),
+        ({"sweep_thetas": [float("inf")]}, "sweep_thetas"),
+        ({"rank_tol": float("nan")}, "rank_tol"),
+        ({"stop_tol": float("nan")}, "stop_tol"),
     ])
     def test_malformed_leaf_exit_2(self, tmp_path, capsys, cfg, where):
         path = write_config(tmp_path, cfg)
@@ -229,6 +233,18 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert "k_P=" in err and len(err.splitlines()) == 1 and "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("alpha", [1e200, 1e308])
+    def test_divergent_step_exit_4(self, tmp_path, capsys, alpha):
+        # at 1e308 the round that trips the guard overflows; the run returns
+        # the finite states that entered it
+        out = tmp_path / "run"
+        cfg = small_config(gains={"alpha": alpha}, out_dir=str(out))
+        assert cli.main(["experiment", "--config", write_config(tmp_path, cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "divergence flag raised" in err and "Traceback" not in err
+        report = dataio.read_json(out / "report.json")
+        assert report["diverged"] is True and report["converged"] is False
 
     def test_ints_accepted_where_floats_expected(self):
         cfg = from_dict({"gains": {"k_P": 5, "k_I": 2, "alpha": 1}, "stop_tol": 0,
@@ -370,6 +386,45 @@ class TestAlphaSweepCommand:
         path = write_config(tmp_path, small_config(out_dir=str(tmp_path / "s")))
         assert cli.main(["alpha-sweep", "--config", path, "--thetas", "0.5,x"]) == 2
         assert cli.main(["alpha-sweep", "--config", path, "--thetas", "-1"]) == 2
+        assert cli.main(["alpha-sweep", "--config", path, "--thetas", "nan"]) == 2
+        assert cli.main(["alpha-sweep", "--config", path, "--thetas", "0.5,inf"]) == 2
+        assert not (tmp_path / "s").exists()
+
+    def test_paper_scale_contraction(self, tmp_path):
+        # the zero start records b x d = 3 x 9 numbers per round; an n x n
+        # history would take t_max n^2 8 = 1.28 GB, over the cap
+        out = tmp_path / "paper"
+        assert cli.main(["alpha-sweep", "--scale", "paper", "--out", str(out)]) == 0
+        rows = {r[0]: r for r in (ln.split(",") for ln in
+                                  (out / "alpha_sweep.csv").read_text().splitlines()[1:])}
+        assert list(rows) == ["0.29999999999999999", "0.5", "0.90000000000000002"]
+        assert 0.0 < float(rows["0.29999999999999999"][6]) < 1.0
+        # the tail window of these two starts at exact zero distance
+        assert rows["0.5"][6] == rows["0.90000000000000002"][6] == ""
+
+    def test_history_over_the_cap(self, tmp_path, monkeypatch):
+        # the cap on t_max * b * d * 8 bytes: at it the history is recorded,
+        # one byte below it not, and the sweep's contraction column goes blank
+        inst = build_instance(from_dict(small_config()).scenario, "ring")
+        gains = SolverGains(k_P=5.0, k_I=2.0, alpha=0.01, t_max=40, stop_tol=0.0)
+        init = initial_states(3, inst.data.feature_dim, "random", 1)
+        _, trace = run(init, inst.graph, gains, inst.partition, inst.data, record_mean=True)
+        size = trace.mean_history.nbytes  # t_max = 40 rounds of b x d
+        monkeypatch.setattr(consensus, "_HISTORY_BYTE_CAP", size)
+        _, capped = run(init, inst.graph, gains, inst.partition, inst.data, record_mean=True)
+        assert np.array_equal(capped.mean_history, trace.mean_history)
+        monkeypatch.setattr(consensus, "_HISTORY_BYTE_CAP", size - 1)
+        _, capped = run(init, inst.graph, gains, inst.partition, inst.data, record_mean=True)
+        assert capped.mean_history is None
+        for name in ("consensus_error", "kkt_residual"):
+            assert np.array_equal(getattr(capped, name), getattr(trace, name)), name
+
+        out = tmp_path / "sweep"
+        cfg = small_config(out_dir=str(out), t_max=200, stop_tol=0.0)
+        assert cli.main(["alpha-sweep", "--config", write_config(tmp_path, cfg),
+                         "--thetas", "0.5"]) == 0
+        rows = (out / "alpha_sweep.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].endswith(",200,")
 
 
 class TestBenchmarkCommand:

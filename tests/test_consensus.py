@@ -385,10 +385,12 @@ class TestRun:
     def test_trace_lengths_consistent(self):
         _, data, part, graph = self._instance(seed=19)
         gains = SolverGains(k_P=2.0, k_I=1.0, alpha=0.005, t_max=50, stop_tol=0.0)
-        _, trace = run(initial_states(2, 3), graph, gains, part, data,
-                       record_mean=True)
+        init = initial_states(2, 3)
+        _, trace = run(init, graph, gains, part, data, record_mean=True)
+        red = _Reduced([s.K for s in init], [s.R for s in init], graph, part, data,
+                       gains.k_P, gains.k_I, gains.alpha)
         assert trace.iterations == 50
-        assert trace.mean_history.shape == (50, 3, 3)
+        assert trace.mean_history.shape == (50, red.b, red.d)
         for series in (trace.consensus_error, trace.objective_mean, trace.fit_metric,
                        trace.kkt_residual, trace.integral_sum_norm):
             assert series.shape == (50,)
@@ -592,6 +594,12 @@ def _stacked(states):
     return np.array([s.K for s in states]), np.array([s.R for s in states])
 
 
+def _lifted(history, red):
+    """A recorded (t, b, d) mean history as the n x n means Kbar(t) = H Zbar(t)^T B^T."""
+    K = history.transpose(0, 2, 1) @ red.B.T
+    return K if red.H is None else red.H @ K
+
+
 class TestReducedKernel:
     """``run`` and ``iterate_rounds`` (coordinates K_i = W_i B^T) against the dense round.
 
@@ -636,7 +644,10 @@ class TestReducedKernel:
             out = iterate_rounds(states, graph, gains, part, data, rounds)
         else:
             out, trace = run(states, graph, gains, part, data, record_mean=True)
-            hist_err = np.linalg.norm(trace.mean_history - dense["mean"], axis=(1, 2))
+            red = _Reduced(K0, R0, graph, part, data, k_P, k_I, alpha)
+            assert np.array_equal(trace.row_basis, red.B)
+            hist_err = np.linalg.norm(_lifted(trace.mean_history, red) - dense["mean"],
+                                      axis=(1, 2))
             assert hist_err.max() <= 1e-12 * np.linalg.norm(dense["mean"], axis=(1, 2)).max()
             y, x = np.linalg.norm(data.Y), np.linalg.norm(data.X)
             s = y + np.linalg.norm(K0) * x
@@ -770,7 +781,7 @@ class TestChunkedRun:
         gains = SolverGains(k_P=5.0, k_I=2.0, alpha=theta * rep.alpha_max, t_max=8000,
                             stop_tol=0.0)
         init = initial_states(3, 16, "random", 7)
-        _, trace = run(init, graph, gains, inst.partition, data)
+        states, trace = run(init, graph, gains, inst.partition, data)
         K, R = _stacked(init)
         guard = DIVERGENCE_GUARD * (1.0 + np.linalg.norm(data.Y) * np.linalg.norm(data.X)
                                     + np.linalg.norm(K, axis=(1, 2)).max())
@@ -782,6 +793,10 @@ class TestChunkedRun:
         assert trace.diverged and not trace.converged
         assert trace.iterations == t == rounds
         assert np.all(np.isfinite(trace.kkt_residual))
+        # the states returned are those that entered the round tripping the guard
+        before = iterate_rounds(init, graph, gains, inst.partition, data, rounds - 1)
+        for a, b in zip(states, before):
+            assert np.array_equal(a.K, b.K) and np.array_equal(a.R, b.R)
 
     @pytest.mark.parametrize("init", ["zeros", "low-rank K"])
     def test_left_basis_when_n_exceeds_N(self, init):
@@ -803,7 +818,8 @@ class TestChunkedRun:
         size = np.linalg.norm(K) + np.linalg.norm(R)
         assert np.linalg.norm(_stacked(out)[0] - K) <= 1e-12 * size
         assert np.linalg.norm(_stacked(out)[1] - R) <= 1e-12 * size
-        hist_err = np.linalg.norm(trace.mean_history - dense["mean"], axis=(1, 2))
+        hist_err = np.linalg.norm(_lifted(trace.mean_history, red) - dense["mean"],
+                                  axis=(1, 2))
         assert hist_err.max() <= 1e-12 * np.linalg.norm(dense["mean"], axis=(1, 2)).max()
         s = np.linalg.norm(data.Y) + np.linalg.norm(K0) * np.linalg.norm(data.X)
         assert np.all(np.abs(trace.fit_metric - dense["fit_metric"]) <= 2e-14 * s)
@@ -841,11 +857,14 @@ class TestChunkedRun:
         init = initial_states(3, 16, "random", 3)
         _, trace = run(init, inst.graph, gains, inst.partition, inst.data,
                        record_mean=True)
-        assert trace.mean_history.shape == (100, 16, 16)
+        assert trace.mean_history.shape == (100, 16, 16)  # b = d = n for a random start
+        red = _Reduced([s.K for s in init], [s.R for s in init], inst.graph, inst.partition,
+                       inst.data, gains.k_P, gains.k_I, gains.alpha)
+        history = _lifted(trace.mean_history, red)
         for t in (1, 16, 17, 32, 33, 64, 65, 100):
             out = iterate_rounds(init, inst.graph, gains, inst.partition, inst.data, t)
             Kbar = _stacked(out)[0].mean(axis=0)
-            assert np.linalg.norm(trace.mean_history[t - 1] - Kbar) <= 1e-13 * np.linalg.norm(Kbar)
+            assert np.linalg.norm(history[t - 1] - Kbar) <= 1e-13 * np.linalg.norm(Kbar)
 
     def test_round_operator_is_M_perp_transposed(self):
         # P = I + alpha M_perp^T, M's block on the complement of range(X)
