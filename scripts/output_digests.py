@@ -7,7 +7,9 @@ Runs, each into its own directory under one temporary directory:
 * ``experiment`` on paper, seeds 7 and 3;
 * ``experiment`` on paper with a random start and ``t_max`` 30;
 * ``alpha-sweep`` on sweep, seeds 5 and 3;
-* ``alpha-sweep --scale paper``.
+* ``alpha-sweep --scale paper``;
+* ``alpha-sweep`` on sweep, seed 5, with ``stop_tol`` 0 and ``t_max`` 8,000
+  (the override of the benchmark's ``sweep`` workload).
 
 Prints one line per output file, ``<sha256>  <run>/<file>``, in the run
 order above and by file name within a run.  BLAS is pinned to one thread
@@ -38,12 +40,16 @@ from dkoopman.cli import main  # noqa: E402
 
 CONFIGS = ROOT / "configs"
 RANDOM_PAPER = {"scale": "paper", "init": {"mode": "random"}, "t_max": 30}
+SWEEP_BENCH = {"stop_tol": 0.0, "t_max": 8000}
 
 
 def runs(tmp: Path) -> list[tuple[str, list[str]]]:
     """(run name, CLI arguments without ``--out``) in the order listed above."""
     random_cfg = tmp / "paper_random.json"
     random_cfg.write_text(json.dumps(RANDOM_PAPER), encoding="utf-8")
+    bench_cfg = tmp / "sweep_bench.json"
+    sweep = json.loads((CONFIGS / "sweep.json").read_text(encoding="utf-8"))
+    bench_cfg.write_text(json.dumps({**sweep, **SWEEP_BENCH}), encoding="utf-8")
 
     def seeded(name, command, seeds):
         config = str(CONFIGS / f"{name}.json")
@@ -53,7 +59,8 @@ def runs(tmp: Path) -> list[tuple[str, list[str]]]:
     return [*seeded("desk", "experiment", (5, 3)), *seeded("paper", "experiment", (7, 3)),
             ("paper-random-t30", ["experiment", "--config", str(random_cfg)]),
             *seeded("sweep", "alpha-sweep", (5, 3)),
-            ("paper-sweep", ["alpha-sweep", "--scale", "paper"])]
+            ("paper-sweep", ["alpha-sweep", "--scale", "paper"]),
+            ("sweep-bench-seed5", ["alpha-sweep", "--config", str(bench_cfg), "--seed", "5"])]
 
 
 def main_digests() -> int:

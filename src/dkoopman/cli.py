@@ -106,7 +106,7 @@ def cmd_alpha_sweep(cfg: RunConfig, thetas=None) -> int:
     for theta in thetas:
         alpha = theta * report.alpha_max
         _, trace = run(init, inst.graph, manual_gains(base, alpha),
-                       inst.partition, inst.data, record_mean=True)
+                       inst.partition, inst.data, record_mean=True, series=False)
         rho = report.rho_max(alpha) if alpha < report.alpha_max else None
         contraction = (tail_contraction(trace.mean_history)
                        if trace.mean_history is not None and not trace.diverged

@@ -107,6 +107,11 @@ def _expect(value, types, path: str):
             or isinstance(value, float) and not math.isfinite(value)):  # JSON NaN, Infinity
         names = "/".join(t.__name__ for t in types)
         raise ConfigError(f"{path}: expected {names}, got {value!r}")
+    if isinstance(value, int) and float in types:
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}: integer too large for a float") from None
     return value
 
 

@@ -485,26 +485,29 @@ class RunTrace:
     ``consensus_error`` is the max over edges of ||K_i - K_j||_F,
     ``objective_mean`` the squared-residual objective of the mean operator,
     ``kkt_residual`` the stationarity norm of the mean operator plus the
-    consensus error, and ``integral_sum_norm`` is ||sum_i R_i||_F.
+    consensus error, and ``integral_sum_norm`` is ||sum_i R_i||_F.  The five
+    series are all None for a run made with ``series=False``; ``iterations``
+    is the round count either way, and defaults to the series' length.
     ``mean_history`` (iterations, b, d) is Zbar(t), Kbar(t) = H Zbar(t)^T B^T
     in the orthonormal bases of :class:`_Reduced`, and ``row_basis`` is B; the
     history is None unless requested and within ``_HISTORY_BYTE_CAP``.
     """
 
-    consensus_error: np.ndarray
-    objective_mean: np.ndarray
-    fit_metric: np.ndarray
-    kkt_residual: np.ndarray
-    integral_sum_norm: np.ndarray
+    consensus_error: np.ndarray | None
+    objective_mean: np.ndarray | None
+    fit_metric: np.ndarray | None
+    kkt_residual: np.ndarray | None
+    integral_sum_norm: np.ndarray | None
     alpha: float
     converged: bool
     diverged: bool
     mean_history: np.ndarray | None = None
     row_basis: np.ndarray | None = None
+    iterations: int | None = None
 
-    @property
-    def iterations(self) -> int:
-        return int(self.consensus_error.size)
+    def __post_init__(self):
+        if self.iterations is None:
+            self.iterations = int(self.consensus_error.size)
 
 
 def _edge_disagreement(K, edges) -> float:
@@ -554,7 +557,7 @@ def _reserve(buf, need: int, limit: int, axis: int) -> np.ndarray:
 
 
 def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedData,
-        record_mean: bool = False) -> tuple[list[AgentState], RunTrace]:
+        record_mean: bool = False, series: bool = True) -> tuple[list[AgentState], RunTrace]:
     """Iterate the update law until both stopping residuals drop below stop_tol.
 
     Requires a connected graph and all-zero integral states R_i(0).  Stops
@@ -564,6 +567,12 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     an exception; the states returned are the finite ones that entered the
     round tripping the guard, which the trace includes).  The run is a pure
     function of its inputs: repeated calls give bit-identical traces.
+
+    With ``series=False`` the trace's five series are None, and each round
+    computes only the divergence guard, the mean for ``record_mean``, and,
+    when ``gains.stop_tol`` > 0, the consensus error and KKT residual that
+    can stop the run.  Rounds, stopping, states and mean history are
+    bit-identical to a run with ``series=True``.
 
     The rounds and the diagnostics run in the reduced coordinates of
     :class:`_Reduced`: with B and H orthonormal, ||K_i - K_j||_F =
@@ -586,6 +595,7 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     N, m, t_max = data.num_samples, len(graph.edges), gains.t_max
     # [edge incidence; 1^T / p]: one matmul gives the edge differences and the mean
     mix = np.vstack([_incidence(graph), np.full((1, p), 1.0 / p)])
+    stopping = series or gains.stop_tol > 0  # the residuals can stop the run or are kept
 
     data_scale = float(np.linalg.norm(data.Y, "fro") * np.linalg.norm(data.X, "fro"))
     W0_norm = np.linalg.norm(red.Z0[:pb].reshape(p, b * d), axis=1).max()
@@ -600,10 +610,10 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     slots = [red.views(Z) for Z in buf]
     diag = np.empty((k, m + 3, b * d))
     res = np.empty((k, p + 1, N, d))
-    series = np.empty((5, min(t_max, 16)))
+    columns = np.empty((5, min(t_max, 16))) if series else None
     record = record_mean and t_max * b * d * 8 <= _HISTORY_BYTE_CAP
     mean_hist = np.empty((min(t_max, 16), b, d)) if record else None
-    t, converged, diverged = 0, False, False
+    t, converged, diverged, met = 0, False, False, False
 
     # a diverging chunk overflows in the rounds after the one that trips the
     # guard; those rounds are discarded
@@ -618,37 +628,45 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
             D, E = diag[:kc], res[:kc]
             np.matmul(mix, Zf, out=D[:, :m + 1])
             Wbar = D[:, m].reshape(kc, b, d)
-            np.matmul(red.XtT, Wbar, out=E[:, 0])
-            np.matmul(red.XtT, Zw.reshape(kc, p, b, d), out=E[:, 1:])
-            E -= red.YhT
-            np.matmul(red.Xt, E[:, 0], out=D[:, m + 1].reshape(kc, b, d))
-            np.sum(buf[1:kc + 1, pb:].reshape(kc, p, b * d), axis=1, out=D[:, m + 2])
-
-            Ef = E.reshape(kc, p + 1, N * d)
-            norms = np.sqrt(np.einsum("kij,kij->ki", D, D))
-            res_norms = np.sqrt(np.einsum("kij,kij->ki", Ef, Ef))
+            if stopping:
+                np.matmul(red.XtT, Wbar, out=E[:, 0])
+                if series:
+                    np.matmul(red.XtT, Zw.reshape(kc, p, b, d), out=E[:, 1:])
+                    E -= red.YhT
+                else:  # the mean residual alone; elementwise, so the same bits
+                    E[:, 0] -= red.YhT
+                np.matmul(red.Xt, E[:, 0], out=D[:, m + 1].reshape(kc, b, d))
+                if series:
+                    np.sum(buf[1:kc + 1, pb:].reshape(kc, p, b * d), axis=1, out=D[:, m + 2])
+                    Ef = E.reshape(kc, p + 1, N * d)
+                    res_norms = np.sqrt(np.einsum("kij,kij->ki", Ef, Ef))
+                Dn = D if series else D[:, :m + 2]  # row by row, so the same bits
+                norms = np.sqrt(np.einsum("kij,kij->ki", Dn, Dn))
+                cons = norms[:, :m].max(axis=1, initial=0.0)
+                kkt = norms[:, m + 1] + cons
+                met = (cons < gains.stop_tol) & (kkt < gains.stop_tol)
             worst = np.sqrt(np.einsum("kij,kij->ki", Zf, Zf)).max(axis=1)
-            cons = norms[:, :m].max(axis=1, initial=0.0)
-            kkt = norms[:, m + 1] + cons
-            stop = np.flatnonzero(~(worst <= guard)
-                                  | ((cons < gains.stop_tol) & (kkt < gains.stop_tol)))
+            stop = np.flatnonzero(~(worst <= guard) | met)
             if stop.size:
                 kc = int(stop[0]) + 1
                 diverged = not worst[kc - 1] <= guard
                 converged = not diverged
 
-            series = _reserve(series, t + kc, t_max, axis=1)
-            series[:, t:t + kc] = (cons[:kc], 0.5 * res_norms[:kc, 0] ** 2,
-                                   res_norms[:kc, 1:].sum(axis=1) / p, kkt[:kc],
-                                   norms[:kc, m + 2])
+            if series:
+                columns = _reserve(columns, t + kc, t_max, axis=1)
+                columns[:, t:t + kc] = (cons[:kc], 0.5 * res_norms[:kc, 0] ** 2,
+                                        res_norms[:kc, 1:].sum(axis=1) / p, kkt[:kc],
+                                        norms[:kc, m + 2])
             if record:
                 mean_hist = _reserve(mean_hist, t + kc, t_max, axis=0)
                 mean_hist[t:t + kc] = Wbar[:kc]
             t += kc
             buf[0] = buf[kc - 1 if diverged else kc]
 
-    trace = RunTrace(*series[:, :t], alpha=alpha, converged=converged, diverged=diverged,
-                     mean_history=mean_hist[:t] if record else None, row_basis=red.B)
+    trace = RunTrace(*(columns[:, :t] if series else [None] * 5), alpha=alpha,
+                     converged=converged, diverged=diverged,
+                     mean_history=mean_hist[:t] if record else None, row_basis=red.B,
+                     iterations=t)
     return red.states(buf[0]), trace
 
 

@@ -5,7 +5,8 @@ are two-column CSV with a "re,im" header.  Frame dumps come as one CSV per
 frame or as a flat binary file (two little-endian uint64 for grid side and
 frame count, then frame-major float64 little-endian data).  Every writer
 is atomic: content goes to a temp file in the target directory first and
-is moved into place with os.replace.
+is moved into place with os.replace.  JSON files hold no NaN or infinity:
+such values are written as null.
 """
 
 from __future__ import annotations
@@ -97,8 +98,29 @@ def write_trace_csv(path, trace) -> None:
                                       (",".join(TRACE_COLUMNS),)))
 
 
+def _finite_or_null(obj):
+    """``obj`` with every NaN and infinite float replaced by None."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj
+
+
 def write_json(path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Indented JSON with sorted keys; NaN and infinities are written as null.
+
+    JSON (RFC 8259) has no tokens for them, and Python's ``NaN`` and
+    ``Infinity`` would make the file unreadable to strict parsers.  An
+    object with finite values only is dumped once.
+    """
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False)
+    atomic_write_text(path, text + "\n")
 
 
 def read_json(path):

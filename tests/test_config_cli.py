@@ -216,6 +216,9 @@ class TestExperimentCommand:
         ({"sweep_thetas": [float("inf")]}, "sweep_thetas"),
         ({"rank_tol": float("nan")}, "rank_tol"),
         ({"stop_tol": float("nan")}, "stop_tol"),
+        ({"stop_tol": 10**400}, "stop_tol"),  # an int no float can hold
+        ({"gains": {"k_P": 10**400}}, "gains.k_P"),
+        ({"rank_tol": 10**400}, "rank_tol"),
     ])
     def test_malformed_leaf_exit_2(self, tmp_path, capsys, cfg, where):
         path = write_config(tmp_path, cfg)
@@ -245,6 +248,17 @@ class TestExperimentCommand:
         assert "divergence flag raised" in err and "Traceback" not in err
         report = dataio.read_json(out / "report.json")
         assert report["diverged"] is True and report["converged"] is False
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        # the first round's residuals overflow; JSON has no token for them
+        strict = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+        last = np.loadtxt(out / "fit_trace.csv", delimiter=",", skiprows=1, ndmin=2)[-1]
+        assert not np.all(np.isfinite(last))
+        for key in ("consensus_error", "objective_mean", "fit_metric"):
+            value = last[dataio.TRACE_COLUMNS.index(key)]
+            assert strict[key] == (value if np.isfinite(value) else None), key
 
     def test_ints_accepted_where_floats_expected(self):
         cfg = from_dict({"gains": {"k_P": 5, "k_I": 2, "alpha": 1}, "stop_tol": 0,
@@ -426,6 +440,34 @@ class TestAlphaSweepCommand:
         rows = (out / "alpha_sweep.csv").read_text().splitlines()
         assert len(rows) == 2 and rows[1].endswith(",200,")
 
+    @pytest.mark.parametrize("override", [{}, {"stop_tol": 0.0, "t_max": 2000}])
+    def test_series_free_runs_write_the_same_bytes(self, tmp_path, monkeypatch, override):
+        # the sweep runs the solver with series=False; the same sweep with the
+        # series computed is the oracle, on the stock sweep config and on one
+        # whose stop_tol of 0 leaves nothing but the guard to stop a run
+        root = Path(__file__).resolve().parents[1]
+        cfg = {**json.loads((root / "configs" / "sweep.json").read_text()), **override}
+        path = write_config(tmp_path, cfg)
+        real, seen = cli.run, []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["series"])
+            return real(*args, **kwargs)
+
+        def forced(*args, **kwargs):
+            return spy(*args, **{**kwargs, "series": True})
+
+        outputs = []
+        for patched in (spy, forced):
+            monkeypatch.setattr(cli, "run", patched)
+            out = tmp_path / patched.__name__
+            assert cli.main(["alpha-sweep", "--config", path, "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("alpha_sweep.csv", "sweep.json")])
+        assert outputs[0] == outputs[1]
+        thetas = len(cfg["sweep_thetas"])
+        assert seen == [False] * thetas + [True] * thetas
+
 
 class TestBenchmarkCommand:
     def test_three_positive_timings(self, tmp_path):
@@ -479,6 +521,17 @@ class TestDataIO:
         rows = [[str(t + 1)] + [f"{c[t]:.17g}" for c in cols] for t in range(2)]
         assert (tmp_path / "t.csv").read_text() == "\n".join(
             [",".join(dataio.TRACE_COLUMNS)] + [",".join(r) for r in rows]) + "\n"
+
+    def test_json_non_finite_as_null(self, tmp_path):
+        finite = {"b": [1.5, -0.0, 1e-300], "a": {"x": 2, "y": True, "z": None}}
+        dataio.write_json(tmp_path / "f.json", finite)
+        assert (tmp_path / "f.json").read_text() == json.dumps(
+            finite, indent=2, sort_keys=True) + "\n"
+        dataio.write_json(tmp_path / "n.json", {"a": [np.nan, 1.0, (np.inf,)],
+                                                "b": {"c": -np.inf}, "d": np.float64("nan")})
+        text = (tmp_path / "n.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        assert json.loads(text) == {"a": [None, 1.0, [None]], "b": {"c": None}, "d": None}
 
     def test_spectrum_round_trip(self, tmp_path):
         eigs = np.array([1 + 2j, -0.5 - 1e-12j, 3.0 + 0j])

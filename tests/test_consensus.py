@@ -876,6 +876,77 @@ class TestChunkedRun:
         assert np.array_equal(red.P, np.eye(8) + 0.02 * plain_perp.T)
 
 
+_SERIES = ("consensus_error", "objective_mean", "fit_metric", "kkt_residual",
+           "integral_sum_norm")
+
+
+def _series_free_matches(init, graph, gains, part, data):
+    """Run with and without the series on the same inputs; the run with
+    them is the oracle for everything ``series=False`` still returns."""
+    states, full = run(init, graph, gains, part, data, record_mean=True)
+    states_lean, lean = run(init, graph, gains, part, data, record_mean=True, series=False)
+    assert all(getattr(lean, name) is None for name in _SERIES)
+    assert ((lean.iterations, lean.converged, lean.diverged)
+            == (full.iterations, full.converged, full.diverged))
+    for a, b in zip(states_lean, states):
+        assert np.array_equal(a.K, b.K) and np.array_equal(a.R, b.R)
+    if full.mean_history is None:
+        assert lean.mean_history is None
+    else:
+        assert np.array_equal(lean.mean_history, full.mean_history)
+    return full
+
+
+class TestSeriesFreeRun:
+    """``run(series=False)`` skips the trace series but must stop, diverge
+    and record the mean history bit for bit as the full run does."""
+
+    def _gains(self, inst, theta, **kw):
+        rep = spectral_report(inst.partition, inst.data, laplacian(inst.graph), 5.0, 2.0)
+        return SolverGains(k_P=5.0, k_I=2.0, alpha=theta * rep.alpha_max, **kw)
+
+    def test_zero_start_converges(self):
+        inst = _desk_instance()
+        gains = self._gains(inst, 0.5, t_max=20000, stop_tol=1e-8)
+        init = initial_states(3, 16)
+        full = _series_free_matches(init, inst.graph, gains, inst.partition, inst.data)
+        assert full.converged and full.iterations % consensus._CHUNK_ROUNDS
+
+    def test_random_start_without_stopping(self):
+        inst = _desk_instance()
+        gains = self._gains(inst, 0.9, t_max=300, stop_tol=0.0)
+        init = initial_states(3, 16, "random", 4)
+        full = _series_free_matches(init, inst.graph, gains, inst.partition, inst.data)
+        assert full.iterations == 300 and not (full.converged or full.diverged)
+
+    @pytest.mark.parametrize("stop_tol", [0.0, 1e-10])
+    def test_divergence_inside_a_chunk(self, stop_tol):
+        inst = _desk_instance()
+        gains = self._gains(inst, 1.5, t_max=8000, stop_tol=stop_tol)
+        init = initial_states(3, 16, "random", 7)
+        full = _series_free_matches(init, inst.graph, gains, inst.partition, inst.data)
+        assert full.diverged and full.iterations == 48
+
+    def test_history_over_the_cap(self, monkeypatch):
+        monkeypatch.setattr(consensus, "_HISTORY_BYTE_CAP", 100 * 16 * 16 * 8 - 1)
+        inst = _desk_instance()
+        gains = self._gains(inst, 0.5, t_max=100, stop_tol=0.0)
+        init = initial_states(3, 16, "random", 3)
+        full = _series_free_matches(init, inst.graph, gains, inst.partition, inst.data)
+        assert full.mean_history is None and full.iterations == 100
+
+    @pytest.mark.parametrize("stop_tol", [0.0, 1e-10])
+    def test_all_zero_data(self, stop_tol):
+        # X = 0: b = 0, so every state and diagnostic array is empty
+        rng = np.random.default_rng(8)
+        data = LiftedData(X=np.zeros((4, 6)), Y=rng.standard_normal((4, 6)))
+        part, graph = partition_data(data, [2, 2, 2]), preset_graph("ring", 3)
+        gains = SolverGains(k_P=1.0, k_I=1.0, alpha=0.05, t_max=40, stop_tol=stop_tol)
+        full = _series_free_matches(initial_states(3, 4), graph, gains, part, data)
+        assert full.mean_history.shape == (full.iterations, 0, 4)
+        assert full.iterations == (40 if stop_tol == 0.0 else 1)
+
+
 class TestTailContraction:
     def test_exact_geometric_sequence(self):
         rho = 0.9
