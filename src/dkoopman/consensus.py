@@ -486,8 +486,9 @@ class RunTrace:
     ``objective_mean`` the squared-residual objective of the mean operator,
     ``kkt_residual`` the stationarity norm of the mean operator plus the
     consensus error, and ``integral_sum_norm`` is ||sum_i R_i||_F.  The five
-    series are all None for a run made with ``series=False``; ``iterations``
-    is the round count either way, and defaults to the series' length.
+    series are all None for a run made with ``series=False``, which records
+    its round count in ``rounds``; ``iterations`` is the round count either
+    way.
     ``mean_history`` (iterations, b, d) is Zbar(t), Kbar(t) = H Zbar(t)^T B^T
     in the orthonormal bases of :class:`_Reduced`, and ``row_basis`` is B; the
     history is None unless requested and within ``_HISTORY_BYTE_CAP``.
@@ -503,11 +504,11 @@ class RunTrace:
     diverged: bool
     mean_history: np.ndarray | None = None
     row_basis: np.ndarray | None = None
-    iterations: int | None = None
+    rounds: int | None = None
 
-    def __post_init__(self):
-        if self.iterations is None:
-            self.iterations = int(self.consensus_error.size)
+    @property
+    def iterations(self) -> int:
+        return self.rounds if self.consensus_error is None else int(self.consensus_error.size)
 
 
 def _edge_disagreement(K, edges) -> float:
@@ -666,7 +667,7 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     trace = RunTrace(*(columns[:, :t] if series else [None] * 5), alpha=alpha,
                      converged=converged, diverged=diverged,
                      mean_history=mean_hist[:t] if record else None, row_basis=red.B,
-                     iterations=t)
+                     rounds=None if series else t)
     return red.states(buf[0]), trace
 
 

@@ -113,13 +113,9 @@ def write_json(path, obj) -> None:
     """Indented JSON with sorted keys; NaN and infinities are written as null.
 
     JSON (RFC 8259) has no tokens for them, and Python's ``NaN`` and
-    ``Infinity`` would make the file unreadable to strict parsers.  An
-    object with finite values only is dumped once.
+    ``Infinity`` would make the file unreadable to strict parsers.
     """
-    try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
-        text = json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False)
     atomic_write_text(path, text + "\n")
 
 
