@@ -31,7 +31,11 @@ from .scenario import build_instance, make_experiment, simulate_frames
 def _resolve_graph(cfg: RunConfig) -> str | Graph:
     if cfg.graph.edge_file is None:
         return cfg.graph.preset
-    graph = parse_graph_text(Path(cfg.graph.edge_file).read_text(encoding="utf-8"))
+    try:
+        text = Path(cfg.graph.edge_file).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"graph file {cfg.graph.edge_file} is not UTF-8 text: {exc}") from None
+    graph = parse_graph_text(text)
     if graph.p != cfg.scenario.num_agents:
         raise ConfigError(f"graph file has {graph.p} vertices but the scenario "
                           f"has {cfg.scenario.num_agents} agents")

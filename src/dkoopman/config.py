@@ -129,7 +129,7 @@ def from_dict(raw: dict) -> RunConfig:
     _expect(raw, dict, "config")
     work = dict(raw)
 
-    scale = work.pop("scale", "desk")
+    scale = _expect(work.pop("scale", "desk"), str, "scale")
     if scale not in SCALE_DEFAULTS:
         raise ConfigError(f"scale: must be one of {sorted(SCALE_DEFAULTS)}, got {scale!r}")
     defaults = SCALE_DEFAULTS[scale]
@@ -275,7 +275,7 @@ def load_config(path=None, scale: str | None = None, seed: int | None = None,
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     _expect(raw, dict, "config")
     raw = dict(raw)

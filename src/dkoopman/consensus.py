@@ -41,8 +41,8 @@ import numpy as np
 
 from .edmd import LiftedData
 from .graphs import DisconnectedGraphError, Graph, Laplacian, is_connected, laplacian
-from .linalg import (ZERO_TOL_FACTOR, Spectrum, eigenvalues, extend_basis, frobenius_norm,
-                     psd_sqrt, range_basis)
+from .linalg import (ZERO_TOL_FACTOR, Spectrum, eigenvalues, frobenius_norm, psd_sqrt,
+                     range_basis)
 
 DIVERGENCE_GUARD = 1e12
 
@@ -393,12 +393,13 @@ class _Reduced:
     the Laplacian mix and the integral term combine rows already present,
     so K_i = W_i B^T and R_i = S_i B^T hold exactly for all rounds once B
     spans V and the rows of K(0) and R(0).  B is Q = range_basis(X) (the
-    ``pseudoinverse`` rank rule), extended only by the part of the initial
-    rows that lies outside V.  On the other side, every column of K_i(t)
-    and R_i(t) lies in range(Y) plus the columns of the initial W and S, so
-    when those columns number fewer than n, the state is also taken in an
-    orthonormal basis H of them (from a QR, which needs no rank cutoff);
-    otherwise H is None and d = n.
+    ``pseudoinverse`` rank rule) when every start row already lies in V: a
+    zero start, or r = n.  Any other start runs on plain rows: B is None
+    and b = n.  On the other side, every column of a zero start's K_i(t)
+    and R_i(t) lies in range(Y), so when N < n the state is also taken in
+    the orthonormal basis H of a QR of Y (which needs no rank cutoff);
+    otherwise, and for every nonzero start, whose n or more start columns
+    leave nothing to save, H is None and d = n.
 
     The state is one C-contiguous 2pb x d array
     Z = [W_1^T; ...; W_p^T; S_1^T; ...; S_p^T] H, and a round is
@@ -415,27 +416,24 @@ class _Reduced:
         Q = range_basis(data.X)
         n, r = Q.shape
         p = len(K)  # K and R: sequences of the n x n K_i(0) and R_i(0), only read
-        if r == n or not any(M.any() for M in (*K, *R)):  # nothing lies outside range(X)
-            B = Q
-        else:
-            B = extend_basis(Q, np.concatenate([*K, *R]))
-        # one product per agent: a single one on all the rows rounds differently
-        WS = np.stack([M @ B for M in (*K, *R)])  # (2p, n, b): the initial W_i, then S_i
-        b = B.shape[1]
-        span = [data.Y] + [M.transpose(1, 0, 2).reshape(n, -1)
-                           for M in (WS[:p], WS[p:]) if M.any()]
-        H = (np.linalg.qr(np.hstack(span))[0]
-             if sum(M.shape[1] for M in span) < n else None)
+        zero = not any(M.any() for M in (*K, *R))
+        B = Q if zero or r == n else None
+        H = np.linalg.qr(data.Y)[0] if zero and data.num_samples < n else None
+        b = n if B is None else r
         d = n if H is None else H.shape[1]
-        Zt = WS.transpose(0, 2, 1)
-        self.Z0 = np.ascontiguousarray((Zt if H is None else Zt @ H).reshape(2 * p * b, d))
+        if zero:
+            self.Z0 = np.zeros((2 * p * b, d))
+        else:  # one product per agent: a single one on all the rows rounds differently
+            self.Z0 = np.stack([M.T if B is None else (M @ B).T
+                                for M in (*K, *R)]).reshape(2 * p * b, d)
         self.B, self.H, self.p, self.b, self.d = B, H, p, b, d
-        self.Xt = B.T @ data.X
+        self.Xt = data.X if B is None else B.T @ data.X
         Yh = data.Y if H is None else H.T @ data.Y
         # contiguous operands: the products on a transposed or strided view
         # cost about a microsecond more each
         self.XtT, self.YhT = self.Xt.T.copy(), Yh.T.copy()
-        blocks = [(B.T @ Xi, Yi if H is None else H.T @ Yi) for Xi, Yi in part.blocks(data)]
+        blocks = [(Xi if B is None else B.T @ Xi, Yi if H is None else H.T @ Yi)
+                  for Xi, Yi in part.blocks(data)]
         self.G = alpha * np.stack([Xi @ Xi.T for Xi, _ in blocks])
         self.C = alpha * np.stack([Xi @ Yi.T for Xi, Yi in blocks])
         L, eye = laplacian(graph).matrix, np.eye(p)
@@ -452,7 +450,9 @@ class _Reduced:
 
     def states(self, Z) -> list[AgentState]:
         """Full-coordinate agent states K_i = W_i B^T and R_i = S_i B^T."""
-        KR = Z.reshape(2 * self.p, self.b, self.d).transpose(0, 2, 1) @ self.B.T
+        KR = Z.reshape(2 * self.p, self.b, self.d).transpose(0, 2, 1)
+        if self.B is not None:
+            KR = KR @ self.B.T
         if self.H is not None:
             KR = self.H @ KR
         return [AgentState(KR[i], KR[self.p + i]) for i in range(self.p)]
@@ -473,9 +473,9 @@ def _round(Z, out, red: _Reduced):
 
 
 def step(states, graph: Graph, gains: SolverGains, part: Partition,
-         data: LiftedData, alpha: float | None = None) -> list[AgentState]:
+         data: LiftedData) -> list[AgentState]:
     """One synchronous round of the update law; neighbor reads are pre-round."""
-    return iterate_rounds(states, graph, gains, part, data, 1, alpha)
+    return iterate_rounds(states, graph, gains, part, data, 1)
 
 
 @dataclass(eq=False)
@@ -490,7 +490,8 @@ class RunTrace:
     its round count in ``rounds``; ``iterations`` is the round count either
     way.
     ``mean_history`` (iterations, b, d) is Zbar(t), Kbar(t) = H Zbar(t)^T B^T
-    in the orthonormal bases of :class:`_Reduced`, and ``row_basis`` is B; the
+    in the orthonormal bases of :class:`_Reduced`, and ``row_basis`` is B:
+    range(X) for a zero start or r = n, None for plain rows (b = n).  The
     history is None unless requested and within ``_HISTORY_BYTE_CAP``.
     """
 
@@ -672,24 +673,21 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
 
 
 def iterate_rounds(states, graph: Graph, gains: SolverGains, part: Partition,
-                   data: LiftedData, rounds: int,
-                   alpha: float | None = None) -> list[AgentState]:
+                   data: LiftedData, rounds: int) -> list[AgentState]:
     """Run a fixed number of rounds without diagnostics or stopping checks.
 
     Same reduced coordinates and round as :func:`run`, so the iterates are
     bit-identical to the corresponding prefix of a run with the same inputs.
     Nonzero integral states R_i are allowed here.
     """
-    if alpha is None:
-        alpha = gains.alpha
-    if alpha is None:
+    if gains.alpha is None:
         raise StepSizeError(
             "gains use alpha_fraction; resolve the step size first (see resolve_alpha)")
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
     _check_states(states, part, data, graph)
     red = _Reduced([s.K for s in states], [s.R for s in states], graph, part, data,
-                   gains.k_P, gains.k_I, alpha)
+                   gains.k_P, gains.k_I, gains.alpha)
     Z, out = red.Z0, np.empty_like(red.Z0)
     Zv, outv = red.views(Z), red.views(out)
     for _ in range(rounds):

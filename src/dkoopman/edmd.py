@@ -73,8 +73,8 @@ def monomial_dictionary(q: int, max_degree: int) -> Dictionary:
 
 def radial_dictionary(centers, width: float) -> Dictionary:
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    if width <= 0:
-        raise ValueError("radial width must be positive")
+    if not (np.isfinite(width) and width > 0):
+        raise ValueError(f"radial width must be positive and finite, got {width!r}")
     return Dictionary("radial", centers.shape[1], centers.shape[0],
                       centers=centers, width=float(width))
 

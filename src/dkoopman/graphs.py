@@ -137,8 +137,9 @@ def parse_graph_text(text: str) -> Graph:
         raise GraphError(f"first line must be the vertex count, got {lines[0]!r}") from None
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"edge line must be 'i j', got {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            i, j = map(int, ln.split())
+        except ValueError:  # not two integers
+            raise GraphError(f"edge line must be 'i j', got {ln!r}") from None
+        edges.append((i, j))
     return build_graph(p, edges)

@@ -125,21 +125,6 @@ def range_basis(a, rank_tol: float | None = None) -> np.ndarray:
     return u[:, s > _rank_cutoff(arr.shape, s, rank_tol)]
 
 
-def extend_basis(q, rows) -> np.ndarray:
-    """Orthonormal basis of range(Q) plus the row space of ``rows``.
-
-    Only the part of the rows outside range(Q) adds columns: its singular
-    directions above ``max(shape) * eps * ||rows||_F``, the pseudoinverse
-    rank rule relative to the rows' own scale, so the roundoff left by the
-    projection adds none.  The result is orthonormalized again because a
-    direction just above the cutoff keeps a roundoff component along Q.
-    """
-    q, z = as_matrix(q, "basis"), as_matrix(rows, "rows")
-    _, s, vt = np.linalg.svd(z - (z @ q) @ q.T, full_matrices=False)
-    keep = s > max(z.shape) * _EPS * float(np.linalg.norm(z))
-    return np.linalg.qr(np.hstack([q, vt[keep].T]))[0] if keep.any() else q
-
-
 def _rank_cutoff(shape, s: np.ndarray, rank_tol: float | None) -> float:
     if rank_tol is None:
         return max(shape) * _EPS * (float(s[0]) if s.size else 0.0)

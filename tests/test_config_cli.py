@@ -219,6 +219,9 @@ class TestExperimentCommand:
         ({"stop_tol": 10**400}, "stop_tol"),  # an int no float can hold
         ({"gains": {"k_P": 10**400}}, "gains.k_P"),
         ({"rank_tol": 10**400}, "rank_tol"),
+        ({"scale": []}, "scale"),
+        ({"scale": {}}, "scale"),
+        ({"dictionary": "radial:2:nan"}, "dictionary"),
     ])
     def test_malformed_leaf_exit_2(self, tmp_path, capsys, cfg, where):
         path = write_config(tmp_path, cfg)
@@ -271,6 +274,23 @@ class TestExperimentCommand:
         out = tmp_path / "run"
         cfg = small_config(graph={"edge_file": str(graph_path)}, out_dir=str(out))
         assert cli.main(["experiment", "--config", write_config(tmp_path, cfg)]) == 0
+
+    @pytest.mark.parametrize("config_bytes, graph_bytes", [
+        (None, b"3\n0 x\n"),
+        (b'{"t_max": 5, "dictionary": "\xff"}', None),
+        (None, b"3\n0 1\n1 \xff\n"),
+    ], ids=["edge line not two integers", "config not UTF-8", "edge file not UTF-8"])
+    def test_malformed_file_exit_2(self, tmp_path, capsys, config_bytes, graph_bytes):
+        graph_path = tmp_path / "g.txt"
+        graph_path.write_bytes(graph_bytes or b"3\n0 1\n1 2\n")
+        cfg = small_config(graph={"edge_file": str(graph_path)}, out_dir=str(tmp_path / "run"))
+        path = write_config(tmp_path, cfg)
+        if config_bytes is not None:
+            Path(path).write_bytes(config_bytes)
+        assert cli.main(["experiment", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_disconnected_graph_exit_3(self, tmp_path):
         graph_path = tmp_path / "g.txt"
@@ -568,6 +588,59 @@ class TestDataIO:
         dataio.write_lifted_data(tmp_path, data)
         back = dataio.read_lifted_data(tmp_path)
         assert np.array_equal(back.X, data.X) and np.array_equal(back.Y, data.Y)
+
+
+# A tiny experiment (n = 9, N = 6, at most 20 rounds) with every config key set
+TINY = {"scale": "desk",
+        "scenario": {"grid_side": 3, "num_agents": 3, "snapshots_per_agent": 2,
+                     "blob_count": 2, "drift": [1.0, 0.0], "diffusion": 0.0,
+                     "saturation_gain": 1.0, "seed": 1, "burn_in": 0},
+        "graph": {"preset": "ring"}, "gains": {"k_P": 5.0, "k_I": 2.0, "theta": 0.5},
+        "t_max": 20, "stop_tol": 1e-10, "init": {"mode": "zeros", "seed": 0},
+        "rollout": {"steps": 2, "start": "last_train"}, "dictionary": "vectorization",
+        "rank_tol": None, "sweep_thetas": [0.5], "benchmark_repeats": 1}
+# leaves that set how much a run computes: no size guard refuses a huge one yet
+SIZE_LEAVES = {("scenario", "grid_side"), ("scenario", "num_agents"),
+               ("scenario", "snapshots_per_agent"), ("scenario", "blob_count"),
+               ("scenario", "burn_in"), ("t_max",), ("rollout", "steps"),
+               ("benchmark_repeats",)}
+MALFORMED = [None, True, -1, 0, 1, 2.5, 101, 10**400, -1e308, 1e308, float("nan"),
+             float("inf"), "", "x", "radial:2:nan", [], [1], {}, {"x": 1}]
+
+
+def _leaves(tree, path=()):
+    """Key paths of the non-container values of a JSON tree; list items by index."""
+    if isinstance(tree, (dict, list)):
+        for key, value in (tree.items() if isinstance(tree, dict) else enumerate(tree)):
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path
+
+
+def test_every_malformed_leaf_keeps_the_exit_contract(tmp_path, capsys):
+    # each leaf of TINY in turn takes each MALFORMED value; the CLI must
+    # answer with a documented exit code, one stderr line unless it exits 0,
+    # and never with a traceback
+    failures = []
+    for path in _leaves(TINY):
+        for value in MALFORMED:
+            if (path in SIZE_LEAVES and isinstance(value, (int, float))
+                    and not value <= 100):
+                continue
+            cfg = json.loads(json.dumps(TINY))
+            node = cfg
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            config = write_config(tmp_path, cfg)
+            try:
+                rc = cli.main(["experiment", "--config", config, "--out", str(tmp_path / "run")])
+            except Exception as exc:  # exit 1 with a traceback, run from the shell
+                rc = f"{type(exc).__name__}: {exc}"
+            err = capsys.readouterr().err
+            if rc not in (0, 2, 3, 4) or len(err.splitlines()) != (rc != 0):
+                failures.append((path, value, rc, err))
+    assert not failures
 
 
 class TestRankTolConfig:

@@ -34,6 +34,11 @@ class TestDictionaries:
         assert out[1] == pytest.approx(1.0)
         assert out[0] == pytest.approx(np.exp(-1.0 / (2 * 0.25)))
 
+    @pytest.mark.parametrize("width", [0.0, -1.0, float("nan"), float("inf")])
+    def test_radial_width_positive_and_finite(self, width):
+        with pytest.raises(ValueError, match="width"):
+            radial_dictionary([[0.0, 0.0]], width=width)
+
     def test_parse_strings(self):
         assert parse_dictionary("vectorization", 4).kind == "vectorization"
         assert parse_dictionary("monomial:3", 2).output_dim == 10

@@ -144,3 +144,5 @@ class TestTextFormat:
             parse_graph_text("x\n")
         with pytest.raises(GraphError):
             parse_graph_text("3\n0 1 2\n")
+        with pytest.raises(GraphError):
+            parse_graph_text("3\n0 x\n")

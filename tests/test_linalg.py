@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dkoopman.linalg import (DimensionError, NotPSDError, Spectrum, eigenvalues,
-                             extend_basis, frobenius_norm, pseudoinverse, psd_sqrt,
-                             range_basis, spectrum_distance)
+                             frobenius_norm, pseudoinverse, psd_sqrt, range_basis,
+                             spectrum_distance)
 
 
 def cofactor_det(a):
@@ -153,24 +153,6 @@ class TestRangeBasis:
         q = range_basis(a, rank_tol=1e-6)
         assert q.shape == (6, 2)
         assert np.allclose(q @ q.T, a @ pseudoinverse(a, rank_tol=1e-6), atol=1e-12)
-
-
-class TestExtendBasis:
-    def test_rows_inside_add_nothing(self):
-        rng = np.random.default_rng(4)
-        q = range_basis(rng.standard_normal((6, 2)))
-        assert extend_basis(q, rng.standard_normal((9, 2)) @ q.T) is q
-
-    def test_rows_outside_are_spanned(self):
-        rng = np.random.default_rng(5)
-        q = range_basis(rng.standard_normal((6, 2)))
-        rows = rng.standard_normal((4, 1)) @ rng.standard_normal((1, 6)) \
-            + rng.standard_normal((4, 2)) @ q.T
-        b = extend_basis(q, rows)
-        assert b.shape == (6, 3)
-        assert np.allclose(b.T @ b, np.eye(3), atol=1e-14)
-        assert np.allclose(rows @ b @ b.T, rows, atol=1e-13)
-        assert np.allclose(q @ q.T @ b @ b.T, q @ q.T, atol=1e-14)
 
 
 class TestPsdSqrt:

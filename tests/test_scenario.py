@@ -198,6 +198,16 @@ class TestExperiment:
         with pytest.raises(ValueError):
             make_experiment(scn, gains, rollout_start="middle")
 
+    def test_random_start_below_full_rank_takes_the_dense_spectrum(self):
+        # n = 16 > N = 6, so r < n: a random start runs on plain rows, and
+        # K_ave has no row basis to take its spectrum from a core
+        scn = dataclasses.replace(DESK, snapshots_per_agent=2)
+        gains = SolverGains(k_P=5.0, k_I=2.0, alpha_fraction=0.5, t_max=50, stop_tol=0.0)
+        report = make_experiment(scn, gains, rollout_steps=2, init_mode="random",
+                                 init_seed=1)
+        assert report.spectral.rank < scn.feature_dim and report.trace.row_basis is None
+        assert np.array_equal(report.spectrum_K_ave, eigenvalues(report.K_ave.K).eigenvalues)
+
     def test_graph_object_accepted(self):
         scn = dataclasses.replace(DESK, snapshots_per_agent=2)
         graph = preset_graph("path", 3)
