@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -498,6 +499,33 @@ def _structural_case(p, n, widths, r, seed):
     return data, part, random_graph(rng, p, connected=True), r
 
 
+def _mp_alpha_max(part, data, lap, k_P, k_I, zero_tol, dps=40):
+    """alpha_max of M~ assembled and solved with ``dps`` digits from the same inputs.
+
+    A double root of lambda^2 + k_P mu lambda + k_I mu (k_P^2 mu = 4 k_I) is
+    a defective eigenvalue of M~: rounding M~ to doubles already splits it
+    by about sqrt(eps), so the double-precision oracle keeps only half its
+    digits there.  With 40 digits the split stays near 1e-20.
+    """
+    with mpmath.workdps(dps):
+        p, n = part.p, data.feature_dim
+        mu, U = mpmath.eigsy(mpmath.matrix(lap.matrix))
+        root = U * mpmath.diag([mpmath.sqrt(max(m, 0)) for m in mu]) * U.T
+        bX = mpmath.matrix(assemble_block_X(part, data))
+        d = p * n
+        M = mpmath.zeros(2 * d, 2 * d)
+        M[:d, :d] = -bX * bX.T
+        for i in range(p):
+            for j in range(p):
+                for k in range(n):
+                    a, b = i * n + k, j * n + k
+                    M[a, b] -= k_P * lap.matrix[i, j]
+                    M[a, d + b] = mpmath.sqrt(k_I) * root[i, j]
+                    M[d + a, b] = -M[a, d + b]
+        vals = mpmath.eig(M, left=False, right=False)
+        return compute_alpha_max(Spectrum(np.array([complex(v) for v in vals]), zero_tol))
+
+
 class TestStructuralSpectrum:
     """The reduced spectral report against the dense M~ as its oracle."""
 
@@ -510,6 +538,7 @@ class TestStructuralSpectrum:
     @example((3, 12, [1, 1, 1]), 3, 2.0, 1.0, 0)   # n > N, rank deficient
     @example((4, 3, [3, 2, 2, 1]), 3, 5.0, 2.0, 1)  # n <= N, full row rank
     @example((3, 5, [2, 2, 2]), 0, 1.0, 1.0, 2)     # X = 0: the V-part is empty
+    @example((2, 1, [1, 1]), 0, 2.0, 2.0, 0)        # mu = 2, k_P^2 mu = 4 k_I: a double root
     def test_matches_dense_M_tilde(self, shape, r, k_P, k_I, seed):
         p, n, widths = shape
         data, part, graph, r = _structural_case(p, n, widths, r, seed)
@@ -527,6 +556,8 @@ class TestStructuralSpectrum:
                                  dense.eigenvalues) <= 1e-6 * scale
         assert rep.n_zero == dense.n_zero == 2 * n - r
         alpha = compute_alpha_max(dense)
+        if abs(rep.alpha_max - alpha) > 1e-10 * alpha:  # a defective eigenvalue decides
+            alpha = _mp_alpha_max(part, data, lap, k_P, k_I, dense.zero_tol)
         assert abs(rep.alpha_max - alpha) <= 1e-10 * alpha
 
     def test_quadratic_roots_keep_their_digits(self):
