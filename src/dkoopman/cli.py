@@ -43,7 +43,8 @@ def _resolve_graph(cfg: RunConfig) -> str | Graph:
 
 
 def _spectrum_pairs(spectrum) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in spectrum.eigenvalues]
+    values = spectrum.eigenvalues
+    return np.column_stack((values.real, values.imag)).tolist()
 
 
 def _zero_counts(report, n: int) -> dict:

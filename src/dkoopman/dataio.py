@@ -7,13 +7,23 @@ frame count, then frame-major float64 little-endian data).  Every writer
 is atomic: content goes to a temp file in the target directory first and
 is moved into place with os.replace.  JSON files hold no NaN or infinity:
 such values are written as null.
+
+The text writers format each distinct value once.  The paper-scale outputs
+repeat a few dozen values thousands of times, so matrices and spectra are
+formatted per distinct bit pattern, and ``write_json`` reuses the text of
+each repeated list of floats.  The bytes are those of formatting every
+entry on its own.  A matrix whose distinct rows repeat no value takes one
+%-template per row instead, the faster path for such data; the choice is
+made from the data alone.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -49,27 +59,41 @@ def _csv_text(template: str, rows, header: tuple[str, ...] = ()) -> str:
     return "\n".join([*header, *(template % tuple(row) for row in rows)]) + "\n"
 
 
-def write_matrix_csv(path, matrix) -> None:
-    """One ``%.17g`` line per row, each distinct row formatted once.
+def _csv_rows(matrix) -> list[bytes]:
+    """The ``%.17g`` line of each row of ``matrix``, each distinct value formatted once.
 
-    Rows are keyed by their bytes, so -0.0 and 0.0 (and NaN payloads) stay
-    apart and every line has the text it would have on its own.  Operators
-    fitted to the paper-scale data repeat rows: every pixel runs the same
-    logistic cycle in one of a few phases, so K*, K_ave and their difference
-    inherit bit-identical rows.
+    Rows are keyed by their bytes and values by their bits, so -0.0 and 0.0
+    (and NaN payloads) stay apart and every line has the text it would have
+    on its own.  Operators fitted to the paper-scale data repeat rows and
+    values: every pixel runs the same logistic cycle in one of a few phases,
+    so K*, K_ave and their difference inherit bit-identical rows built from
+    a few dozen values, and a spectrum repeats its exact zeros.  When the
+    distinct rows hold no repeated value, one %-template per row is the
+    cheaper way to the same text, and that path is taken instead.  Each line
+    ends in a newline and is encoded once per distinct row, so a file's text
+    is copied only once, into its bytes.
     """
     arr = np.atleast_2d(np.asarray(matrix, dtype=float))
-    template = ",".join(["%.17g"] * arr.shape[1])
-    lines: dict[bytes, str] = {}
+    index: dict[bytes, int] = {}
+    which = [index.setdefault(row.tobytes(), len(index)) for row in arr]
+    rows = np.frombuffer(b"".join(index), dtype=float).reshape(len(index), arr.shape[1])
+    bits = rows.view(np.uint64)
+    values = np.sort(bits, axis=None)  # numpy 2's np.unique hashes: 30 times slower here
+    repeated = values[1:] == values[:-1]
+    if not repeated.any():
+        template = ",".join(["%.17g"] * arr.shape[1]) + "\n"
+        texts = [(template % tuple(row)).encode() for row in rows]
+    else:
+        values = values[np.concatenate(([True], ~repeated))]
+        value_texts = np.array(["%.17g" % v for v in values.view(np.float64).tolist()],
+                               dtype=object)
+        codes = np.searchsorted(values, bits)
+        texts = [(",".join(line) + "\n").encode() for line in value_texts[codes].tolist()]
+    return [texts[k] for k in which]
 
-    def line(row) -> str:
-        key = row.tobytes()
-        text = lines.get(key)
-        if text is None:
-            text = lines[key] = template % tuple(row)
-        return text
 
-    atomic_write_text(path, "\n".join([line(row) for row in arr]) + "\n")
+def write_matrix_csv(path, matrix) -> None:
+    atomic_write_bytes(path, b"".join(_csv_rows(matrix)) or b"\n")
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -78,7 +102,8 @@ def read_matrix_csv(path) -> np.ndarray:
 
 def write_spectrum_csv(path, eigs) -> None:
     vals = np.atleast_1d(np.asarray(eigs, dtype=complex))
-    atomic_write_text(path, _csv_text("%.17g,%.17g", zip(vals.real, vals.imag), ("re,im",)))
+    rows = _csv_rows(np.column_stack((vals.real, vals.imag)))
+    atomic_write_bytes(path, b"".join([b"re,im\n", *rows]))
 
 
 def read_spectrum_csv(path) -> np.ndarray:
@@ -98,15 +123,47 @@ def write_trace_csv(path, trace) -> None:
                                       (",".join(TRACE_COLUMNS),)))
 
 
-def _finite_or_null(obj):
-    """``obj`` with every NaN and infinite float replaced by None."""
-    if isinstance(obj, dict):
-        return {key: _finite_or_null(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(value) for value in obj]
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return None
-    return obj
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` with NaN and infinities as null.
+
+    One walk renders the text; keys must be str.  Scalars go through
+    ``json.dumps``.  The text of a list of plain floats is cached under its
+    depth and its items' bit patterns: a report repeats a few distinct
+    eigenvalue pairs thousands of times, and keying on bits rather than float
+    equality keeps ``[x, -0.0]`` apart from ``[x, 0.0]``.
+    """
+    cache: dict[tuple[int, bytes], str] = {}
+
+    def block(opener, items, closer, depth):
+        inner = "\n" + "  " * (depth + 1)
+        return opener + inner + ("," + inner).join(items) + "\n" + "  " * depth + closer
+
+    def render_list(value, depth):
+        return block("[", [render(item, depth + 1) for item in value], "]", depth)
+
+    def render(value, depth):
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            if {*map(type, value)} != {float}:
+                return render_list(value, depth)
+            key = (depth, array("d", value).tobytes())
+            if key not in cache:
+                cache[key] = render_list(value, depth)
+            return cache[key]
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            for key in value:
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            return block("{", [json.dumps(key) + ": " + render(value[key], depth + 1)
+                               for key in sorted(value)], "}", depth)
+        if isinstance(value, float) and not math.isfinite(value):
+            return "null"
+        return json.dumps(value)
+
+    return render(obj, 0)
 
 
 def write_json(path, obj) -> None:
@@ -115,8 +172,7 @@ def write_json(path, obj) -> None:
     JSON (RFC 8259) has no tokens for them, and Python's ``NaN`` and
     ``Infinity`` would make the file unreadable to strict parsers.
     """
-    text = json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False)
-    atomic_write_text(path, text + "\n")
+    atomic_write_text(path, _json_text(obj) + "\n")
 
 
 def read_json(path):

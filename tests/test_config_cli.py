@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dkoopman import cli, consensus, dataio
 from dkoopman.config import ConfigError, from_dict, load_config, to_dict
@@ -30,6 +33,31 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def _finite_or_null(obj):
+    """``obj`` with every NaN and infinite float replaced by None."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj
+
+
+def reference_json(obj) -> str:
+    """The text ``dataio.write_json`` wrote before it rendered JSON itself, as oracle."""
+    return json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def fstring_csv(rows) -> str:
+    """The per-value ``f"{v:.17g}"`` text the CSV writers once produced, as oracle."""
+    return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+
+
+# a quiet NaN with another payload than np.nan: bitwise a different value
+NAN2 = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0])
 
 
 class TestConfigSchema:
@@ -510,29 +538,31 @@ class TestDataIO:
         assert np.array_equal(a, b)
 
     def test_writers_match_the_fstring_formatter(self, tmp_path):
-        # the per-value f"{v:.17g}" formatting the writers used before, as oracle
-        def fmt(rows):
-            return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
-
         special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
                    1e-310, np.pi, -1.0 / 3.0, 2.0**53 + 2.0, 1e300]
         rng = np.random.default_rng(3)
-        # a quiet NaN with another payload: bitwise a different row
-        nan2 = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
-        for a in (np.array(special).reshape(3, 4), rng.standard_normal((40, 30)) * 1e-3,
-                  np.array([[7.0]]),
+        distinct = rng.standard_normal((40, 30)) * 1e-3
+        assert np.unique(distinct).size == distinct.size  # the row-template branch
+        repeats = rng.standard_normal(4)[rng.integers(0, 4, (9, 6))]
+        for a in (np.array(special).reshape(3, 4), distinct, np.array([[7.0]]),
                   rng.standard_normal((3, 5))[[0, 1, 0, 2, 1, 0, 0]],  # repeated rows
+                  repeats,  # values repeated within and across rows
                   np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 1.0]]),
-                  np.array([[np.nan, 2.0], [nan2, 2.0], [np.nan, 2.0]]),
-                  np.full((6, 3), 0.1)):  # all rows equal
+                  np.array([[np.nan, 2.0], [NAN2, 2.0], [np.nan, 2.0]]),
+                  np.array([[0.0, -0.0, np.nan, NAN2, 0.0, np.nan, -0.0, NAN2]]),
+                  np.full((6, 3), 0.1),  # all rows equal
+                  np.zeros((3, 0))):
             dataio.write_matrix_csv(tmp_path / "m.csv", a)
-            assert (tmp_path / "m.csv").read_bytes() == fmt(a).encode()
-        dataio.write_matrix_csv(tmp_path / "m.csv", np.zeros((0, 0)))
-        assert (tmp_path / "m.csv").read_bytes() == b"\n"
-        eigs = np.array(special[:6]) + 1j * np.array(special[6:])
-        dataio.write_spectrum_csv(tmp_path / "s.csv", eigs)
-        assert (tmp_path / "s.csv").read_bytes() == (
-            "re,im\n" + fmt([(v.real, v.imag) for v in eigs])).encode()
+            assert (tmp_path / "m.csv").read_bytes() == fstring_csv(a).encode()
+        for empty in (np.zeros((0, 0)), np.zeros((0, 3))):
+            dataio.write_matrix_csv(tmp_path / "m.csv", empty)
+            assert (tmp_path / "m.csv").read_bytes() == b"\n"
+        for eigs in (np.array(special[:6]) + 1j * np.array(special[6:]),
+                     np.array([1 + 2j, 0, 0, -0.5j, 0, 1 + 2j, 0]),  # repeated 0,0 rows
+                     np.zeros(0, dtype=complex)):
+            dataio.write_spectrum_csv(tmp_path / "s.csv", eigs)
+            assert (tmp_path / "s.csv").read_bytes() == (
+                "re,im\n" + fstring_csv([(v.real, v.imag) for v in eigs])).encode()
 
         from dkoopman.consensus import RunTrace
         cols = np.array(special[:10]).reshape(5, 2)
@@ -552,6 +582,48 @@ class TestDataIO:
         text = (tmp_path / "n.json").read_text()
         assert "NaN" not in text and "Infinity" not in text
         assert json.loads(text) == {"a": [None, 1.0, [None]], "b": {"c": None}, "d": None}
+
+    @pytest.mark.parametrize("obj", [
+        {"a": [1.5, 0.0], "b": [1.5, -0.0], "c": [[1.5, -0.0], [1.5, 0.0]]},
+        [[1, 2], [1.0, 2.0], [True, 1], [1, True], [1.0, True]],
+        {"nan": [np.nan, 1.0], "nan2": [NAN2, 1.0], "inf": [np.inf, -np.inf],
+         "neg": [-np.nan, -np.inf, np.inf], "np": [np.float64(np.nan), np.float64(2.0)]},
+        {"a": [0.5, 2.0], "b": {"c": [0.5, 2.0]}, "d": [[0.5, 2.0]], "e": ([0.5, 2.0],)},
+        {"a": [], "b": {}, "c": (), "d": [[], {}, ()], "e": [[]]},
+        [], {}, (), 0.0, -0.0, np.nan, "",
+        {"\u00e9\n\"\\": "\u00fc\t\u2028\x00 \U0001F600", "k": ["\ud800", "\x7f"]},
+    ])
+    def test_json_matches_the_reference_encoder(self, tmp_path, obj):
+        dataio.write_json(tmp_path / "r.json", obj)
+        assert (tmp_path / "r.json").read_text() == reference_json(obj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+                  st.floats(), st.floats().map(np.float64),
+                  st.sampled_from([0.0, -0.0, 1.0, np.nan, NAN2, np.inf, -np.inf])),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(st.text(max_size=4), children, max_size=4)),
+        max_leaves=40))
+    def test_json_property_matches_the_reference_encoder(self, obj):
+        with tempfile.TemporaryDirectory() as tmp:
+            dataio.write_json(Path(tmp) / "p.json", obj)
+            assert (Path(tmp) / "p.json").read_text() == reference_json(obj)
+
+    def test_json_rejects_non_string_keys(self, tmp_path):
+        with pytest.raises(TypeError):
+            dataio.write_json(tmp_path / "k.json", {1: 2.0})
+
+    def test_paper_outputs_match_the_reference_encoders(self, tmp_path):
+        # every value of the paper-scale files through the encoders they replace
+        out = tmp_path / "paper"
+        assert cli.main(["experiment", "--scale", "paper", "--out", str(out)]) == 0
+        text = (out / "report.json").read_text()
+        assert reference_json(json.loads(text)) == text
+        for name in ("diff_matrix.csv", "rollout_error.csv"):
+            data = (out / name).read_text()
+            assert fstring_csv(dataio.read_matrix_csv(out / name)) == data, name
 
     def test_spectrum_round_trip(self, tmp_path):
         eigs = np.array([1 + 2j, -0.5 - 1e-12j, 3.0 + 0j])
