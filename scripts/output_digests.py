@@ -8,6 +8,8 @@ Runs, each into its own directory under one temporary directory:
 * ``experiment`` on paper with a random start and ``t_max`` 30;
 * ``alpha-sweep`` on sweep, seeds 5 and 3;
 * ``alpha-sweep --scale paper``;
+* ``alpha-sweep`` on paper with a random start and ``t_max`` 30 (its mean
+  history carries the start's rows outside range(X));
 * ``alpha-sweep`` on sweep, seed 5, with ``stop_tol`` 0 and ``t_max`` 8,000
   (the override of the benchmark's ``sweep`` workload).
 
@@ -60,6 +62,7 @@ def runs(tmp: Path) -> list[tuple[str, list[str]]]:
             ("paper-random-t30", ["experiment", "--config", str(random_cfg)]),
             *seeded("sweep", "alpha-sweep", (5, 3)),
             ("paper-sweep", ["alpha-sweep", "--scale", "paper"]),
+            ("paper-random-sweep-t30", ["alpha-sweep", "--config", str(random_cfg)]),
             ("sweep-bench-seed5", ["alpha-sweep", "--config", str(bench_cfg), "--seed", "5"])]
 
 

@@ -15,6 +15,6 @@ from .graphs import (Graph, Laplacian, build_graph, is_connected, laplacian,
 from .linalg import (Spectrum, eigenvalues, frobenius_norm, pseudoinverse, psd_sqrt,
                      spectrum_distance)
 from .scenario import (ExperimentReport, GridScenario, advance, build_instance,
-                       generate, make_experiment, sequential_widths, simulate_frames)
+                       make_experiment, sequential_widths, simulate_frames)
 
 __version__ = "0.1.0"

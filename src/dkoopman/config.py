@@ -154,9 +154,11 @@ def from_dict(raw: dict) -> RunConfig:
     if "preset" in graph_dict and "edge_file" in graph_dict:
         raise ConfigError("graph: give either 'preset' or 'edge_file', not both")
     if "edge_file" in graph_dict:
-        graph = GraphConfig(preset=None, edge_file=str(graph_dict["edge_file"]))
+        graph = GraphConfig(preset=None, edge_file=_expect(graph_dict["edge_file"], str,
+                                                           "graph.edge_file"))
     else:
-        graph = GraphConfig(preset=str(graph_dict.get("preset", "ring")), edge_file=None)
+        graph = GraphConfig(preset=_expect(graph_dict.get("preset", "ring"), str,
+                                           "graph.preset"), edge_file=None)
 
     user_gains = _sub_dict(work, "gains", {"k_P", "k_I", "alpha", "theta"}, "")
     if user_gains.get("alpha") is not None and user_gains.get("theta") is not None:
@@ -209,7 +211,7 @@ def from_dict(raw: dict) -> RunConfig:
         if rank_tol < 0:
             raise ConfigError("rank_tol: must be nonnegative")
 
-    out_dir = str(work.pop("out_dir", "out"))
+    out_dir = _expect(work.pop("out_dir", "out"), str, "out_dir")
 
     thetas = work.pop("sweep_thetas", [0.3, 0.5, 0.9])
     _expect(thetas, (list, tuple), "sweep_thetas")

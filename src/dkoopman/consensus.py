@@ -387,53 +387,61 @@ _HISTORY_BYTE_CAP = 2 * 10**8  # the largest mean history ``run`` records
 
 
 class _Reduced:
-    """The solver's problem in the coordinates of two orthonormal bases.
+    """The solver's problem in the coordinates of orthonormal bases.
 
     Every gradient (K_i X_i - Y_i) X_i^T has its rows in V = range(X), and
-    the Laplacian mix and the integral term combine rows already present,
-    so K_i = W_i B^T and R_i = S_i B^T hold exactly for all rounds once B
-    spans V and the rows of K(0) and R(0).  B is Q = range_basis(X) (the
-    ``pseudoinverse`` rank rule) when every start row already lies in V: a
-    zero start, or r = n.  Any other start runs on plain rows: B is None
-    and b = n.  On the other side, every column of a zero start's K_i(t)
-    and R_i(t) lies in range(Y), so when N < n the state is also taken in
-    the orthonormal basis H of a QR of Y (which needs no rank cutoff);
-    otherwise, and for every nonzero start, whose n or more start columns
-    leave nothing to save, H is None and d = n.
+    the Grams X_i X_i^T are the only place the data enters, so the rows of a
+    state outside V move by the Laplacian mix and the integral term alone.
+    B is Q = range_basis(X) (the ``pseudoinverse`` rank rule) for every
+    start: K_i = W_i B^T + U_i and R_i = S_i B^T + V_i, where the start's
+    rows outside V, the 2p complements M_j - M_j B B^T of M_j = K_j(0),
+    R_j(0), are taken once in the orthonormal basis Phi of a thin QR of
+    their vecs; their coefficients then evolve by the same mix P as the
+    rest.  There are q of them, none for a zero start or for b = n.  On the
+    other side, every column of a zero start's K_i(t) and R_i(t) lies in
+    range(Y), so when N < n the state is also taken in the orthonormal
+    basis H of a QR of Y (which needs no rank cutoff); otherwise, and for
+    every nonzero start, whose n or more start columns leave nothing to
+    save, H is None and d = n.
 
-    The state is one C-contiguous 2pb x d array
-    Z = [W_1^T; ...; W_p^T; S_1^T; ...; S_p^T] H, and a round is
+    The state is one C-contiguous 2p x (b*d + q) array whose row j holds
+    vec(W_j^T H) (j <= p), vec(S_j^T H) (j > p), then the j-th complement
+    coefficients, and a round is
 
-        Z <- (P kron I_b) Z - blkdiag(alpha G_i) Z_W + alpha [C_1; ...; C_p; 0]
+        Z <- (P kron I) Z - blkdiag(alpha G_i) Z_W + alpha [C_1; ...; C_p; 0]
 
     with P = I + alpha [[-k_P L, -k_I I], [L, 0]] (the transpose of M's
     block on the complement of V, see ``_restricted_pair``), X~ = B^T X,
-    Y^ = H^T Y, G_i = X~_i X~_i^T and C_i = X~_i Y^_i^T, all precomputed.
+    Y^ = H^T Y, G_i = X~_i X~_i^T and C_i = X~_i Y^_i^T, all precomputed;
+    Z_W is the first p rows' b*d columns, the only part a Gram touches.
     """
 
     def __init__(self, K, R, graph: Graph, part: Partition, data: LiftedData,
                  k_P: float, k_I: float, alpha: float):
-        Q = range_basis(data.X)
-        n, r = Q.shape
+        B = range_basis(data.X)
+        n, b = B.shape
         p = len(K)  # K and R: sequences of the n x n K_i(0) and R_i(0), only read
-        zero = not any(M.any() for M in (*K, *R))
-        B = Q if zero or r == n else None
+        mats = (*K, *R)
+        zero = not any(M.any() for M in mats)
         H = np.linalg.qr(data.Y)[0] if zero and data.num_samples < n else None
-        b = n if B is None else r
         d = n if H is None else H.shape[1]
+        self.Phi = None
         if zero:
-            self.Z0 = np.zeros((2 * p * b, d))
+            self.Z0 = np.zeros((2 * p, b * d))
         else:  # one product per agent: a single one on all the rows rounds differently
-            self.Z0 = np.stack([M.T if B is None else (M @ B).T
-                                for M in (*K, *R)]).reshape(2 * p * b, d)
+            MB = [M @ B for M in mats]
+            self.Z0 = np.stack([A.T for A in MB]).reshape(2 * p, b * d)
+            if b < n:
+                U = np.stack([M - A @ B.T for M, A in zip(mats, MB)]).reshape(2 * p, n * n)
+                self.Phi, T = np.linalg.qr(U.T)
+                self.Z0 = np.hstack([self.Z0, T.T])
         self.B, self.H, self.p, self.b, self.d = B, H, p, b, d
-        self.Xt = data.X if B is None else B.T @ data.X
+        self.Xt = B.T @ data.X
         Yh = data.Y if H is None else H.T @ data.Y
         # contiguous operands: the products on a transposed or strided view
         # cost about a microsecond more each
         self.XtT, self.YhT = self.Xt.T.copy(), Yh.T.copy()
-        blocks = [(Xi if B is None else B.T @ Xi, Yi if H is None else H.T @ Yi)
-                  for Xi, Yi in part.blocks(data)]
+        blocks = [(B.T @ Xi, Yi if H is None else H.T @ Yi) for Xi, Yi in part.blocks(data)]
         self.G = alpha * np.stack([Xi @ Xi.T for Xi, _ in blocks])
         self.C = alpha * np.stack([Xi @ Yi.T for Xi, Yi in blocks])
         L, eye = laplacian(graph).matrix, np.eye(p)
@@ -441,30 +449,31 @@ class _Reduced:
                                                    [L, np.zeros((p, p))]])
 
     def views(self, Z) -> tuple[np.ndarray, np.ndarray]:
-        """Z as (2p, b*d) and its W part as (p, b, d); Z must be C-contiguous,
-        or the reshapes are copies that a round would write to in vain."""
+        """Z itself and its W block as (p, b, d); Z must be C-contiguous, or
+        the reshapes are copies that a round would write to in vain."""
         if not Z.flags.c_contiguous:
             raise ValueError("the state must be C-contiguous")
         p, b, d = self.p, self.b, self.d
-        return Z.reshape(2 * p, b * d), Z[:p * b].reshape(p, b, d)
+        return Z, Z[:p, :b * d].reshape(p, b, d)
 
     def states(self, Z) -> list[AgentState]:
-        """Full-coordinate agent states K_i = W_i B^T and R_i = S_i B^T."""
-        KR = Z.reshape(2 * self.p, self.b, self.d).transpose(0, 2, 1)
-        if self.B is not None:
-            KR = KR @ self.B.T
+        """Full-coordinate agent states K_i = H W_i^T B^T + U_i, likewise R_i."""
+        p, b, d = self.p, self.b, self.d
+        KR = Z[:, :b * d].reshape(2 * p, b, d).transpose(0, 2, 1) @ self.B.T
         if self.H is not None:
             KR = self.H @ KR
-        return [AgentState(KR[i], KR[self.p + i]) for i in range(self.p)]
+        if self.Phi is not None:
+            KR += (Z[:, b * d:] @ self.Phi.T).reshape(KR.shape)
+        return [AgentState(KR[i], KR[p + i]) for i in range(p)]
 
 
 def _round(Z, out, red: _Reduced):
     """One synchronous round from state Z into state ``out``, both given as
     :meth:`_Reduced.views`.
 
-    The Laplacian and integral coupling is one (2p x 2p) @ (2p, b*d) matmul,
-    the local gradients one batched (p, b, b) @ (p, b, d) matmul; the dense
-    2pb x 2pb operator would cost 4p times the flops.
+    The Laplacian and integral coupling is one (2p x 2p) @ (2p, b*d + q)
+    matmul, the local gradients one batched (p, b, b) @ (p, b, d) matmul; the
+    dense 2pb x 2pb operator would cost 4p times the flops.
     """
     np.matmul(red.P, Z[0], out=out[0])
     W = out[1]
@@ -486,13 +495,14 @@ class RunTrace:
     ``objective_mean`` the squared-residual objective of the mean operator,
     ``kkt_residual`` the stationarity norm of the mean operator plus the
     consensus error, and ``integral_sum_norm`` is ||sum_i R_i||_F.  The five
-    series are all None for a run made with ``series=False``, which records
-    its round count in ``rounds``; ``iterations`` is the round count either
-    way.
-    ``mean_history`` (iterations, b, d) is Zbar(t), Kbar(t) = H Zbar(t)^T B^T
-    in the orthonormal bases of :class:`_Reduced`, and ``row_basis`` is B:
-    range(X) for a zero start or r = n, None for plain rows (b = n).  The
-    history is None unless requested and within ``_HISTORY_BYTE_CAP``.
+    series are all None for a run made with ``series=False``; ``iterations``
+    is the round count either way.
+    ``mean_history`` (iterations, b, d) is the mean Wbar(t) of the W blocks
+    of :class:`_Reduced`, Kbar(t) = H Wbar(t)^T B^T + Ubar(t), where the mean
+    Ubar of the start's rows outside range(X) stays at its start value while
+    sum_i R_i stays zero.  ``row_basis`` is B = range(X) when every row of the
+    final states lies in it, and None when the start had rows outside it.
+    The history is None unless requested and within ``_HISTORY_BYTE_CAP``.
     """
 
     consensus_error: np.ndarray | None
@@ -503,13 +513,9 @@ class RunTrace:
     alpha: float
     converged: bool
     diverged: bool
+    iterations: int
     mean_history: np.ndarray | None = None
     row_basis: np.ndarray | None = None
-    rounds: int | None = None
-
-    @property
-    def iterations(self) -> int:
-        return self.rounds if self.consensus_error is None else int(self.consensus_error.size)
 
 
 def _edge_disagreement(K, edges) -> float:
@@ -541,20 +547,18 @@ def _incidence(graph: Graph) -> np.ndarray:
     return E
 
 
-def _reserve(buf, need: int, limit: int, axis: int) -> np.ndarray:
-    """``buf`` with room for ``need`` entries along ``axis``, doubled up to ``limit``.
+def _reserve(buf, need: int, limit: int) -> np.ndarray:
+    """``buf`` with room for ``need`` columns, doubled up to ``limit``.
 
     Grown like a list instead of reserved for all t_max rounds at once: that
     can exceed the address space the system grants, however early the run
     stops.
     """
-    have = buf.shape[axis]
+    have = buf.shape[1]
     if need <= have:
         return buf
-    shape = list(buf.shape)
-    shape[axis] = min(max(2 * have, need), limit)
-    grown = np.empty(shape)
-    np.moveaxis(grown, axis, 0)[:have] = np.moveaxis(buf, axis, 0)
+    grown = np.empty((buf.shape[0], min(max(2 * have, need), limit)))
+    grown[:, :have] = buf
     return grown
 
 
@@ -577,9 +581,12 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     bit-identical to a run with ``series=True``.
 
     The rounds and the diagnostics run in the reduced coordinates of
-    :class:`_Reduced`: with B and H orthonormal, ||K_i - K_j||_F =
-    ||Z_i - Z_j||_F, the residual K_i X - Y is H (Z_i^T X~ - Y^) and the
-    stationarity norm is ||X~ (X~^T Zbar - Y^^T)||_F.  The rounds go in
+    :class:`_Reduced`: with B, H and Phi orthonormal, ||K_i - K_j||_F =
+    ||Z_i - Z_j||_F over a whole row of the state, complement coefficients
+    included, as are the guard's ||K_i||_F and ||sum_i R_i||_F.  The rows
+    outside range(X) are annihilated by X, so the residual K_i X - Y is
+    H (W_i^T X~ - Y^) and the stationarity norm ||X~ (X~^T Wbar - Y^^T)||_F,
+    read from the W blocks alone.  The rounds go in
     chunks of up to 32 written into one buffer, and each chunk's
     diagnostics are computed at once; the first round that stops or
     diverges ends the run, and the rest of its chunk is discarded.
@@ -593,28 +600,30 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     with np.errstate(over="ignore"):  # alpha G_i or alpha L overflows: the first round diverges
         red = _Reduced([s.K for s in init], [s.R for s in init], graph, part, data,
                        gains.k_P, gains.k_I, alpha)
-    p, b, d, pb = red.p, red.b, red.d, red.p * red.b
+    p, b, d, bd = red.p, red.b, red.d, red.b * red.d
+    w = red.Z0.shape[1]  # b*d, plus the complement coefficients
     N, m, t_max = data.num_samples, len(graph.edges), gains.t_max
     # [edge incidence; 1^T / p]: one matmul gives the edge differences and the mean
     mix = np.vstack([_incidence(graph), np.full((1, p), 1.0 / p)])
     stopping = series or gains.stop_tol > 0  # the residuals can stop the run or are kept
 
     data_scale = float(np.linalg.norm(data.Y, "fro") * np.linalg.norm(data.X, "fro"))
-    W0_norm = np.linalg.norm(red.Z0[:pb].reshape(p, b * d), axis=1).max()
+    W0_norm = np.linalg.norm(red.Z0[:p], axis=1).max()
     guard = DIVERGENCE_GUARD * (1.0 + data_scale + float(W0_norm))
 
-    # per round: the state, [edges, mean, stationarity, sum of S] (b x d
-    # each) and [mean residual, residuals] (N x d each)
-    k = max(1, min(_CHUNK_ROUNDS, _CHUNK_BYTES // (8 * d * (2 * pb + (m + 3) * b
-                                                            + (p + 1) * N))))
-    buf = np.empty((k + 1, 2 * pb, d))  # slot 0 holds the state entering a chunk
+    # per round: the state (2p rows), [edges, mean, stationarity, sum of S]
+    # (one row each) and [mean residual, residuals] (N x d each)
+    k = max(1, min(_CHUNK_ROUNDS, _CHUNK_BYTES // (8 * ((2 * p + m + 3) * w
+                                                        + (p + 1) * N * d))))
+    buf = np.empty((k + 1, 2 * p, w))  # slot 0 holds the state entering a chunk
     buf[0] = red.Z0
     slots = [red.views(Z) for Z in buf]
-    diag = np.empty((k, m + 3, b * d))
+    diag = np.zeros((k, m + 3, w))  # the stationarity row's complement part stays 0
     res = np.empty((k, p + 1, N, d))
     columns = np.empty((5, min(t_max, 16))) if series else None
-    record = record_mean and t_max * b * d * 8 <= _HISTORY_BYTE_CAP
-    mean_hist = np.empty((min(t_max, 16), b, d)) if record else None
+    # bounded by the cap, and np.empty touches only the rows written
+    record = record_mean and t_max * bd * 8 <= _HISTORY_BYTE_CAP
+    mean_hist = np.empty((t_max, b, d)) if record else None
     t, converged, diverged, met = 0, False, False, False
 
     # a diverging chunk overflows in the rounds after the one that trips the
@@ -625,21 +634,20 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
             for j in range(kc):
                 _round(slots[j], slots[j + 1], red)
             # the chunk's diagnostics, each a product over all its rounds at once
-            Zw = buf[1:kc + 1, :pb]
-            Zf = Zw.reshape(kc, p, b * d)
+            Zf = buf[1:kc + 1, :p]
             D, E = diag[:kc], res[:kc]
             np.matmul(mix, Zf, out=D[:, :m + 1])
-            Wbar = D[:, m].reshape(kc, b, d)
+            Wbar = D[:, m, :bd].reshape(kc, b, d)
             if stopping:
                 np.matmul(red.XtT, Wbar, out=E[:, 0])
                 if series:
-                    np.matmul(red.XtT, Zw.reshape(kc, p, b, d), out=E[:, 1:])
+                    np.matmul(red.XtT, Zf[..., :bd].reshape(kc, p, b, d), out=E[:, 1:])
                     E -= red.YhT
                 else:  # the mean residual alone; elementwise, so the same bits
                     E[:, 0] -= red.YhT
-                np.matmul(red.Xt, E[:, 0], out=D[:, m + 1].reshape(kc, b, d))
+                np.matmul(red.Xt, E[:, 0], out=D[:, m + 1, :bd].reshape(kc, b, d))
                 if series:
-                    np.sum(buf[1:kc + 1, pb:].reshape(kc, p, b * d), axis=1, out=D[:, m + 2])
+                    np.sum(buf[1:kc + 1, p:], axis=1, out=D[:, m + 2])
                     Ef = E.reshape(kc, p + 1, N * d)
                     res_norms = np.sqrt(np.einsum("kij,kij->ki", Ef, Ef))
                 Dn = D if series else D[:, :m + 2]  # row by row, so the same bits
@@ -655,20 +663,19 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
                 converged = not diverged
 
             if series:
-                columns = _reserve(columns, t + kc, t_max, axis=1)
+                columns = _reserve(columns, t + kc, t_max)
                 columns[:, t:t + kc] = (cons[:kc], 0.5 * res_norms[:kc, 0] ** 2,
                                         res_norms[:kc, 1:].sum(axis=1) / p, kkt[:kc],
                                         norms[:kc, m + 2])
             if record:
-                mean_hist = _reserve(mean_hist, t + kc, t_max, axis=0)
                 mean_hist[t:t + kc] = Wbar[:kc]
             t += kc
             buf[0] = buf[kc - 1 if diverged else kc]
 
     trace = RunTrace(*(columns[:, :t] if series else [None] * 5), alpha=alpha,
-                     converged=converged, diverged=diverged,
-                     mean_history=mean_hist[:t] if record else None, row_basis=red.B,
-                     rounds=None if series else t)
+                     converged=converged, diverged=diverged, iterations=t,
+                     mean_history=mean_hist[:t] if record else None,
+                     row_basis=red.B if red.Phi is None else None)
     return red.states(buf[0]), trace
 
 
@@ -700,7 +707,8 @@ def tail_contraction(mean_history, tail_fraction: float = 0.5) -> float:
     """Geometric-mean per-iteration contraction toward the final mean operator.
 
     Distances d(t) = ||Kbar(t) - Kbar(final)||_F, which the orthonormal
-    bases of the (t, b, d) ``RunTrace.mean_history`` preserve, are measured
+    bases of the (t, b, d) ``RunTrace.mean_history`` preserve (a start's
+    constant mean outside range(X) cancels), are measured
     over the trailing ``tail_fraction`` window (the final point itself,
     where d = 0 by construction, is excluded).  Returns NaN when the window
     is too short or the distances have already hit exact zero.

@@ -180,24 +180,6 @@ def read_json(path):
         return json.load(fh)
 
 
-def write_lifted_data(outdir, data) -> tuple[Path, Path]:
-    """Paired X.csv / Y.csv export of lifted data matrices."""
-    outdir = Path(outdir)
-    x_path, y_path = outdir / "X.csv", outdir / "Y.csv"
-    write_matrix_csv(x_path, data.X)
-    write_matrix_csv(y_path, data.Y)
-    return x_path, y_path
-
-
-def read_lifted_data(outdir):
-    """Inverse of :func:`write_lifted_data`; validates the pairing."""
-    from .edmd import LiftedData
-
-    outdir = Path(outdir)
-    return LiftedData(X=read_matrix_csv(outdir / "X.csv"),
-                      Y=read_matrix_csv(outdir / "Y.csv"))
-
-
 def write_frames_csv(outdir, frames) -> list[Path]:
     """One g x g CSV per frame: frame_0000.csv, frame_0001.csv, ..."""
     frames = np.asarray(frames, dtype=float)

@@ -28,16 +28,6 @@ class Graph:
     p: int
     edges: tuple[tuple[int, int], ...]
 
-    def neighbors(self, i: int) -> list[int]:
-        if not 0 <= i < self.p:
-            raise GraphError(f"vertex {i} out of range for p={self.p}")
-        out = [j for a, j in self.edges if a == i]
-        out += [a for a, j in self.edges if j == i]
-        return sorted(out)
-
-    def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
-
 
 def build_graph(p: int, edges) -> Graph:
     """Validate, deduplicate, and canonically order an edge list."""

@@ -158,12 +158,6 @@ def simulate_frames(scn: GridScenario, count: int) -> np.ndarray:
     return out
 
 
-def generate(scn: GridScenario) -> SnapshotSequence:
-    """N+1 flattened frames (states in R^{g^2}), deterministic given the seed."""
-    frames = simulate_frames(scn, scn.num_samples + 1)
-    return SnapshotSequence(frames.reshape(frames.shape[0], -1))
-
-
 def sequential_widths(N: int, p: int) -> tuple[int, ...]:
     """Near-equal contiguous widths; earlier agents absorb the remainder."""
     if p < 1:

@@ -258,6 +258,25 @@ class TestExperimentCommand:
         assert where in err and "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("cfg, where", [
+        ({"out_dir": None}, "out_dir"),
+        ({"out_dir": ["a", 1]}, "out_dir"),
+        ({"graph": {"preset": None}}, "graph.preset"),
+        ({"graph": {"edge_file": None}}, "graph.edge_file"),
+        ({"graph": {"edge_file": 1}}, "graph.edge_file"),
+    ])
+    def test_non_string_path_leaf_exit_2(self, tmp_path, monkeypatch, capsys, cfg, where):
+        # without --out the config's out_dir is used; a non-string one must not
+        # become a directory named after its repr
+        with pytest.raises(ConfigError, match=where):
+            from_dict(cfg)
+        path = write_config(tmp_path, small_config(**cfg))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["experiment", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert where in err and len(err.splitlines()) == 1 and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["config.json"]
+
     @pytest.mark.parametrize("command", ["experiment", "alpha-sweep"])
     @pytest.mark.parametrize("k_P", [1e160, 1e308])
     def test_overflowing_gains_exit_2(self, tmp_path, capsys, command, k_P):
@@ -566,7 +585,7 @@ class TestDataIO:
 
         from dkoopman.consensus import RunTrace
         cols = np.array(special[:10]).reshape(5, 2)
-        trace = RunTrace(*cols, alpha=0.1, converged=False, diverged=False)
+        trace = RunTrace(*cols, alpha=0.1, converged=False, diverged=False, iterations=2)
         dataio.write_trace_csv(tmp_path / "t.csv", trace)
         rows = [[str(t + 1)] + [f"{c[t]:.17g}" for c in cols] for t in range(2)]
         assert (tmp_path / "t.csv").read_text() == "\n".join(
@@ -653,13 +672,21 @@ class TestDataIO:
             dataio.read_frames_binary(tmp_path / "cut.bin")
 
     def test_lifted_data_round_trip(self, tmp_path):
+        # X.csv and Y.csv as write_matrix_csv writes them are what solve-central
+        # reads, bit for bit
         from dkoopman.edmd import LiftedData
         rng = np.random.default_rng(1)
         data = LiftedData(X=rng.standard_normal((3, 5)),
                           Y=rng.standard_normal((3, 5)))
-        dataio.write_lifted_data(tmp_path, data)
-        back = dataio.read_lifted_data(tmp_path)
-        assert np.array_equal(back.X, data.X) and np.array_equal(back.Y, data.Y)
+        x_path, y_path = tmp_path / "X.csv", tmp_path / "Y.csv"
+        dataio.write_matrix_csv(x_path, data.X)
+        dataio.write_matrix_csv(y_path, data.Y)
+        assert np.array_equal(dataio.read_matrix_csv(x_path), data.X)
+        assert np.array_equal(dataio.read_matrix_csv(y_path), data.Y)
+        assert cli.main(["solve-central", str(x_path), str(y_path),
+                         "--out", str(tmp_path)]) == 0
+        assert np.array_equal(dataio.read_matrix_csv(tmp_path / "Kstar.csv"),
+                              centralized_solve(data).K)
 
 
 # A tiny experiment (n = 9, N = 6, at most 20 rounds) with every config key set

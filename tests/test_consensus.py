@@ -646,11 +646,16 @@ def _reduced_path(red, rounds):
 
 
 def _lifted(history, red):
-    """A recorded (t, b, d) mean history as the n x n means Kbar(t) = H Zbar(t)^T B^T."""
-    K = history.transpose(0, 2, 1)
-    if red.B is not None:
-        K = K @ red.B.T
-    return K if red.H is None else red.H @ K
+    """A recorded (t, b, d) mean history as the n x n means
+    Kbar(t) = H Wbar(t)^T B^T + Ubar, with Ubar the start's constant mean
+    outside range(X)."""
+    K = history.transpose(0, 2, 1) @ red.B.T
+    if red.H is not None:
+        K = red.H @ K
+    if red.Phi is not None:
+        Ubar = red.Z0[:red.p, red.b * red.d:].mean(axis=0) @ red.Phi.T
+        K = K + Ubar.reshape(K.shape[1:])
+    return K
 
 
 class TestReducedKernel:
@@ -695,7 +700,7 @@ class TestReducedKernel:
         rng = np.random.default_rng(seed)
         # random K(0) rows span R^n and would hide a basis rule that ignores R(0)
         K0 = rng.uniform(-1.0, 1.0, (p, n, n)) if init == "random K" else np.zeros((p, n, n))
-        if init == "low-rank K":  # every start row in range(X), r < n: still plain rows
+        if init == "low-rank K":  # every start row in range(X), r < n: a roundoff complement
             K0 = rng.standard_normal((p, n, r)) @ range_basis(data.X).T
         R0 = rng.uniform(-1.0, 1.0, (p, n, n)) if init == "random R" else np.zeros((p, n, n))
         states = [AgentState(K0[i], R0[i]) for i in range(p)]
@@ -706,10 +711,11 @@ class TestReducedKernel:
         else:
             out, trace = run(states, graph, gains, part, data, record_mean=True)
             red = _Reduced(K0, R0, graph, part, data, k_P, k_I, alpha)
-            if init == "low-rank K":
-                assert red.B is None and trace.row_basis is None
-            else:
+            assert np.array_equal(red.B, range_basis(data.X))
+            if red.Phi is None:
                 assert np.array_equal(trace.row_basis, red.B)
+            else:
+                assert trace.row_basis is None
             path = _reduced_path(red, rounds)
             assert np.array_equal(path[-1], _stacked(out))  # the rounds ``run`` made
             sizes = sum(np.linalg.norm(dense[name].reshape(rounds, -1), axis=1) for name in "KR")
@@ -735,7 +741,7 @@ class TestReducedKernel:
 
     def test_step_keeps_nonzero_integral_state(self):
         # R(0) with rows outside range(X) (rank 3 < n = 4) and K(0) = 0: only
-        # R(0) sends the round to plain rows
+        # R(0) gives the state complement coefficients
         rng = np.random.default_rng(26)
         data = make_data(rng, 4, [1, 2])
         part, graph = partition_data(data, [1, 2]), preset_graph("complete", 2)
@@ -846,24 +852,27 @@ class TestChunkedRun:
         for a, b in zip(states, before):
             assert np.array_equal(a.K, b.K) and np.array_equal(a.R, b.R)
 
-    @pytest.mark.parametrize("init", ["zeros", "low-rank K"])
+    @pytest.mark.parametrize("init", ["zeros", "low-rank K", "random K"])
     def test_left_basis_when_n_exceeds_N(self, init):
         # n = 12 > N = 3: the columns of a zero start's K_i(t) lie in range(Y),
-        # 3 dimensions; a K(0) of rank 3 with its rows in range(X) runs on
-        # plain rows and columns, b = d = n
+        # 3 dimensions; a nonzero start keeps the rows in range(X), b = r, and
+        # takes plain columns, d = n, and 2p complement coefficients
         data, part, graph, r = _structural_case(2, 12, [1, 2], 3, 31)
         rng = np.random.default_rng(31)
         K0 = np.zeros((2, 12, 12))
         if init == "low-rank K":
             K0 = rng.standard_normal((2, 12, r)) @ range_basis(data.X).T
+        elif init == "random K":
+            K0 = rng.uniform(-1.0, 1.0, (2, 12, 12))
         alpha = 0.5 * spectral_report(part, data, laplacian(graph), 2.0, 1.0).alpha_max
         gains = SolverGains(k_P=2.0, k_I=1.0, alpha=alpha, t_max=100, stop_tol=0.0)
         red = _Reduced(K0, np.zeros_like(K0), graph, part, data, 2.0, 1.0, alpha)
+        assert np.array_equal(red.B, range_basis(data.X)) and red.G.shape == (2, r, r)
         if init == "zeros":
-            assert red.B.shape == (12, r) and red.H.shape == (12, 3)
+            assert red.H.shape == (12, 3) and red.Z0.shape == (2 * 2, r * 3)
         else:
-            assert red.B is None and red.H is None and red.b == red.d == 12
-        assert red.Z0.flags.c_contiguous and red.Z0.shape == (2 * 2 * red.b, red.d)
+            assert red.H is None and red.Z0.shape == (2 * 2, r * 12 + 2 * 2)
+        assert red.Z0.flags.c_contiguous
         states = [AgentState(K0[i], np.zeros((12, 12))) for i in range(2)]
         out, trace = run(states, graph, gains, part, data, record_mean=True)
         K, R, dense = dense_run(K0, np.zeros_like(K0), graph, gains, part, data)
@@ -880,7 +889,7 @@ class TestChunkedRun:
         data, part, graph, _ = _structural_case(3, 4, [2, 1, 2], 4, 32)
         K0 = np.random.default_rng(32).standard_normal((3, 4, 4))
         red = _Reduced(K0, np.zeros_like(K0), graph, part, data, 1.0, 1.0, 0.01)
-        assert red.H is None and red.Z0.shape == (2 * 3 * 4, 4)
+        assert red.H is None and red.Phi is None and red.Z0.shape == (2 * 3, 4 * 4)
 
     def test_one_round_chunks(self, monkeypatch):
         # the chunk length a huge state gets; the rounds are the same, and the
@@ -902,14 +911,14 @@ class TestChunkedRun:
                                rtol=1e-14, atol=0.0), name
 
     def test_mean_history_grows_across_chunks(self):
-        # 16 reserved rows doubled past several chunks of 32; each recorded
-        # mean against the mean of the states after that many rounds
+        # rounds on both sides of chunk boundaries; each recorded mean against
+        # the mean of the states after that many rounds
         inst = _desk_instance()
         gains = SolverGains(k_P=5.0, k_I=2.0, alpha=0.01, t_max=100, stop_tol=0.0)
         init = initial_states(3, 16, "random", 3)
         _, trace = run(init, inst.graph, gains, inst.partition, inst.data,
                        record_mean=True)
-        assert trace.mean_history.shape == (100, 16, 16)  # b = d = n for a random start
+        assert trace.mean_history.shape == (100, 16, 16)  # r = n: b = d = 16
         red = _Reduced([s.K for s in init], [s.R for s in init], inst.graph, inst.partition,
                        inst.data, gains.k_P, gains.k_I, gains.alpha)
         history = _lifted(trace.mean_history, red)
@@ -917,6 +926,21 @@ class TestChunkedRun:
             out = iterate_rounds(init, inst.graph, gains, inst.partition, inst.data, t)
             Kbar = _stacked(out)[0].mean(axis=0)
             assert np.linalg.norm(history[t - 1] - Kbar) <= 1e-13 * np.linalg.norm(Kbar)
+
+    def test_complement_history_keeps_the_contraction(self):
+        # r = 6 < n = 16 and a random start: the history holds the W blocks
+        # alone, and the start's mean outside range(X) is constant, so the
+        # tail contraction is that of the dense means
+        inst = _desk_instance(snapshots=2)
+        rep = spectral_report(inst.partition, inst.data, laplacian(inst.graph), 5.0, 2.0)
+        gains = SolverGains(k_P=5.0, k_I=2.0, alpha=0.5 * rep.alpha_max, t_max=200,
+                            stop_tol=0.0)
+        init = initial_states(3, 16, "random", 1)
+        _, trace = run(init, inst.graph, gains, inst.partition, inst.data, record_mean=True)
+        _, _, dense = dense_run(*_stacked(init), inst.graph, gains, inst.partition, inst.data)
+        assert trace.row_basis is None and trace.mean_history.shape == (200, rep.rank, 16)
+        expected = tail_contraction(dense["mean"])
+        assert abs(tail_contraction(trace.mean_history) - expected) <= 1e-10 * expected
 
     def test_round_operator_is_M_perp_transposed(self):
         # P = I + alpha M_perp^T, M's block on the complement of range(X)
@@ -986,6 +1010,17 @@ class TestSeriesFreeRun:
         init = initial_states(3, 16, "random", 3)
         full = _series_free_matches(init, inst.graph, gains, inst.partition, inst.data)
         assert full.mean_history is None and full.iterations == 100
+
+    def test_unbounded_t_max_stops_early(self):
+        # t_max rounds of series or history could not be reserved up front:
+        # the series grow with the run, and the history is over the cap
+        inst = _desk_instance()
+        gains = self._gains(inst, 0.5, t_max=10**15, stop_tol=1e-8)
+        full = _series_free_matches(initial_states(3, 16), inst.graph, gains,
+                                    inst.partition, inst.data)
+        assert full.converged and full.mean_history is None
+        for name in _SERIES:
+            assert getattr(full, name).shape == (full.iterations,), name
 
     @pytest.mark.parametrize("stop_tol", [0.0, 1e-10])
     def test_all_zero_data(self, stop_tol):

@@ -23,8 +23,9 @@ class TestBuildGraph:
     def test_triangle(self):
         g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
         assert g.edges == ((0, 1), (0, 2), (1, 2))
-        assert g.neighbors(0) == [1, 2]
-        assert g.degree(1) == 2
+        L = laplacian(g).matrix
+        assert np.flatnonzero(L[0] == -1.0).tolist() == [1, 2]
+        assert L[1, 1] == 2.0
 
     def test_singleton(self):
         g = build_graph(1, [])

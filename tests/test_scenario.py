@@ -12,7 +12,7 @@ from dkoopman.edmd import SnapshotSequence, centralized_solve, lift, \
 from dkoopman.graphs import laplacian, preset_graph
 from dkoopman.linalg import eigenvalues, range_basis, spectrum_distance
 from dkoopman.scenario import (GridScenario, _advect, _operator_spectrum, advance,
-                               build_instance, generate, make_experiment,
+                               build_instance, make_experiment,
                                sequential_widths, simulate_frames)
 
 DESK = GridScenario(grid_side=4, num_agents=3, snapshots_per_agent=8, blob_count=6,
@@ -43,26 +43,25 @@ class TestGridScenarioValidation:
 class TestGenerate:
     def test_deterministic(self):
         scn = dataclasses.replace(DESK, seed=42)
-        a = generate(scn).states
-        b = generate(scn).states
+        a = simulate_frames(scn, scn.num_samples + 1)
+        b = simulate_frames(scn, scn.num_samples + 1)
         assert a.tobytes() == b.tobytes()
 
     def test_seed_changes_output(self):
-        a = generate(dataclasses.replace(DESK, seed=1)).states
-        b = generate(dataclasses.replace(DESK, seed=2)).states
+        a = simulate_frames(dataclasses.replace(DESK, seed=1), 25)
+        b = simulate_frames(dataclasses.replace(DESK, seed=2), 25)
         assert not np.array_equal(a, b)
 
     def test_frozen_dynamics_constant(self):
         scn = GridScenario(grid_side=5, num_agents=2, snapshots_per_agent=2,
                            drift=(0.0, 0.0), diffusion=0.0, saturation_gain=0.0,
                            seed=3, burn_in=0)
-        states = generate(scn).states
-        for k in range(1, states.shape[0]):
-            assert np.array_equal(states[k], states[0])
+        frames = simulate_frames(scn, scn.num_samples + 1)
+        for k in range(1, frames.shape[0]):
+            assert np.array_equal(frames[k], frames[0])
 
     def test_shape(self):
-        seq = generate(DESK)
-        assert seq.states.shape == (25, 16)
+        assert simulate_frames(DESK, DESK.num_samples + 1).shape == (25, 4, 4)
 
     def test_range_invariant_bulk(self):
         # 20 seeds x 1000 frames, every entry in [0, 1]
@@ -199,8 +198,8 @@ class TestExperiment:
             make_experiment(scn, gains, rollout_start="middle")
 
     def test_random_start_below_full_rank_takes_the_dense_spectrum(self):
-        # n = 16 > N = 6, so r < n: a random start runs on plain rows, and
-        # K_ave has no row basis to take its spectrum from a core
+        # n = 16 > N = 6, so r < n: a random start keeps its rows outside
+        # range(X), and K_ave has no row basis to take its spectrum from a core
         scn = dataclasses.replace(DESK, snapshots_per_agent=2)
         gains = SolverGains(k_P=5.0, k_I=2.0, alpha_fraction=0.5, t_max=50, stop_tol=0.0)
         report = make_experiment(scn, gains, rollout_steps=2, init_mode="random",
