@@ -11,7 +11,9 @@ Runs, each into its own directory under one temporary directory:
 * ``alpha-sweep`` on paper with a random start and ``t_max`` 30 (its mean
   history carries the start's rows outside range(X));
 * ``alpha-sweep`` on sweep, seed 5, with ``stop_tol`` 0 and ``t_max`` 8,000
-  (the override of the benchmark's ``sweep`` workload).
+  (the override of the benchmark's ``sweep`` workload);
+* ``alpha-sweep`` on sweep with ``--thetas 0.5,3.0`` (the flag's thetas
+  replace the config's).
 
 Prints one line per output file, ``<sha256>  <run>/<file>``, in the run
 order above and by file name within a run.  BLAS is pinned to one thread
@@ -63,7 +65,9 @@ def runs(tmp: Path) -> list[tuple[str, list[str]]]:
             *seeded("sweep", "alpha-sweep", (5, 3)),
             ("paper-sweep", ["alpha-sweep", "--scale", "paper"]),
             ("paper-random-sweep-t30", ["alpha-sweep", "--config", str(random_cfg)]),
-            ("sweep-bench-seed5", ["alpha-sweep", "--config", str(bench_cfg), "--seed", "5"])]
+            ("sweep-bench-seed5", ["alpha-sweep", "--config", str(bench_cfg), "--seed", "5"]),
+            ("sweep-thetas", ["alpha-sweep", "--config", str(CONFIGS / "sweep.json"),
+                              "--thetas", "0.5,3.0"])]
 
 
 def main_digests() -> int:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, from_dict, load_config, to_dict
 from .consensus import (NotSemiHurwitzError, initial_states, iterate_rounds, manual_gains,
                         resolve_alpha, run, spectral_report, tail_contraction)
 from .edmd import LiftedData, centralized_solve
@@ -98,8 +98,7 @@ def cmd_experiment(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_alpha_sweep(cfg: RunConfig, thetas=None) -> int:
-    thetas = cfg.sweep_thetas if thetas is None else tuple(thetas)
+def cmd_alpha_sweep(cfg: RunConfig) -> int:
     inst = build_instance(cfg.scenario, _resolve_graph(cfg), cfg.dictionary)
     lap = laplacian(inst.graph)
     base = cfg.solver_gains()
@@ -108,7 +107,7 @@ def cmd_alpha_sweep(cfg: RunConfig, thetas=None) -> int:
     init = initial_states(inst.graph.p, n, cfg.init.mode, cfg.init.seed)  # run only reads it
 
     lines = ["theta,alpha,rho_max,converged,diverged,iterations,contraction"]
-    for theta in thetas:
+    for theta in cfg.sweep_thetas:
         alpha = theta * report.alpha_max
         _, trace = run(init, inst.graph, manual_gains(base, alpha),
                        inst.partition, inst.data, record_mean=True, series=False)
@@ -131,9 +130,9 @@ def cmd_alpha_sweep(cfg: RunConfig, thetas=None) -> int:
         "alpha_max": report.alpha_max,
         **_zero_counts(report, n),
         "semi_hurwitz": report.semi_hurwitz,
-        "thetas": list(thetas),
+        "thetas": list(cfg.sweep_thetas),
     })
-    print(f"alpha sweep over {len(thetas)} step sizes written to {out}")
+    print(f"alpha sweep over {len(cfg.sweep_thetas)} step sizes written to {out}")
     return 0
 
 
@@ -242,15 +241,13 @@ def main(argv=None) -> int:
         if args.command == "experiment":
             return cmd_experiment(cfg)
         if args.command == "alpha-sweep":
-            thetas = None
             if args.thetas is not None:
                 try:
                     thetas = [float(v) for v in args.thetas.split(",") if v.strip()]
                 except ValueError as exc:
                     raise ConfigError(f"bad --thetas value: {exc}") from exc
-                if not thetas or not all(0 < v < np.inf for v in thetas):
-                    raise ConfigError("--thetas needs positive finite comma-separated values")
-            return cmd_alpha_sweep(cfg, thetas)
+                cfg = from_dict({**to_dict(cfg), "sweep_thetas": thetas})
+            return cmd_alpha_sweep(cfg)
         if args.command == "benchmark":
             return cmd_benchmark(cfg)
         if args.command == "gen":

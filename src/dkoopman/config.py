@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .consensus import SolverGains
@@ -233,39 +233,10 @@ def from_dict(raw: dict) -> RunConfig:
 
 
 def to_dict(cfg: RunConfig) -> dict:
-    """Plain JSON-ready dict; from_dict inverts it exactly."""
-    graph = ({"edge_file": cfg.graph.edge_file} if cfg.graph.edge_file is not None
-             else {"preset": cfg.graph.preset})
-    gains = {"k_P": cfg.gains.k_P, "k_I": cfg.gains.k_I}
-    if cfg.gains.alpha is not None:
-        gains["alpha"] = cfg.gains.alpha
-    if cfg.gains.theta is not None:
-        gains["theta"] = cfg.gains.theta
-    return {
-        "scale": cfg.scale,
-        "scenario": {
-            "grid_side": cfg.scenario.grid_side,
-            "num_agents": cfg.scenario.num_agents,
-            "snapshots_per_agent": cfg.scenario.snapshots_per_agent,
-            "blob_count": cfg.scenario.blob_count,
-            "drift": list(cfg.scenario.drift),
-            "diffusion": cfg.scenario.diffusion,
-            "saturation_gain": cfg.scenario.saturation_gain,
-            "seed": cfg.scenario.seed,
-            "burn_in": cfg.scenario.burn_in,
-        },
-        "graph": graph,
-        "gains": gains,
-        "t_max": cfg.t_max,
-        "stop_tol": cfg.stop_tol,
-        "init": {"mode": cfg.init.mode, "seed": cfg.init.seed},
-        "rollout": {"steps": cfg.rollout.steps, "start": cfg.rollout.start},
-        "dictionary": cfg.dictionary,
-        "rank_tol": cfg.rank_tol,
-        "out_dir": cfg.out_dir,
-        "sweep_thetas": list(cfg.sweep_thetas),
-        "benchmark_repeats": cfg.benchmark_repeats,
-    }
+    """Plain JSON-ready dict; from_dict inverts it exactly (it takes no None graph key)."""
+    raw = asdict(cfg)
+    raw["graph"] = {key: value for key, value in raw["graph"].items() if value is not None}
+    return raw
 
 
 def load_config(path=None, scale: str | None = None, seed: int | None = None,

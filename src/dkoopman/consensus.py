@@ -547,21 +547,6 @@ def _incidence(graph: Graph) -> np.ndarray:
     return E
 
 
-def _reserve(buf, need: int, limit: int) -> np.ndarray:
-    """``buf`` with room for ``need`` columns, doubled up to ``limit``.
-
-    Grown like a list instead of reserved for all t_max rounds at once: that
-    can exceed the address space the system grants, however early the run
-    stops.
-    """
-    have = buf.shape[1]
-    if need <= have:
-        return buf
-    grown = np.empty((buf.shape[0], min(max(2 * have, need), limit)))
-    grown[:, :have] = buf
-    return grown
-
-
 def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedData,
         record_mean: bool = False, series: bool = True) -> tuple[list[AgentState], RunTrace]:
     """Iterate the update law until both stopping residuals drop below stop_tol.
@@ -588,8 +573,9 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     H (W_i^T X~ - Y^) and the stationarity norm ||X~ (X~^T Wbar - Y^^T)||_F,
     read from the W blocks alone.  The rounds go in
     chunks of up to 32 written into one buffer, and each chunk's
-    diagnostics are computed at once; the first round that stops or
-    diverges ends the run, and the rest of its chunk is discarded.
+    diagnostics are computed at once and kept as one block of the series;
+    the first round that stops or diverges ends the run, and the rest of
+    its chunk is discarded.
     """
     if not is_connected(graph):
         raise DisconnectedGraphError("solver requires a connected communication graph")
@@ -618,9 +604,10 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     buf = np.empty((k + 1, 2 * p, w))  # slot 0 holds the state entering a chunk
     buf[0] = red.Z0
     slots = [red.views(Z) for Z in buf]
-    diag = np.zeros((k, m + 3, w))  # the stationarity row's complement part stays 0
+    # stay 0: the stationarity row's complement part, and the sum of S without series
+    diag = np.zeros((k, m + 3, w))
     res = np.empty((k, p + 1, N, d))
-    columns = np.empty((5, min(t_max, 16))) if series else None
+    blocks = []  # one compact (5, kc) copy of the series per chunk
     # bounded by the cap, and np.empty touches only the rows written
     record = record_mean and t_max * bd * 8 <= _HISTORY_BYTE_CAP
     mean_hist = np.empty((t_max, b, d)) if record else None
@@ -650,8 +637,7 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
                     np.sum(buf[1:kc + 1, p:], axis=1, out=D[:, m + 2])
                     Ef = E.reshape(kc, p + 1, N * d)
                     res_norms = np.sqrt(np.einsum("kij,kij->ki", Ef, Ef))
-                Dn = D if series else D[:, :m + 2]  # row by row, so the same bits
-                norms = np.sqrt(np.einsum("kij,kij->ki", Dn, Dn))
+                norms = np.sqrt(np.einsum("kij,kij->ki", D, D))
                 cons = norms[:, :m].max(axis=1, initial=0.0)
                 kkt = norms[:, m + 1] + cons
                 met = (cons < gains.stop_tol) & (kkt < gains.stop_tol)
@@ -663,17 +649,16 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
                 converged = not diverged
 
             if series:
-                columns = _reserve(columns, t + kc, t_max)
-                columns[:, t:t + kc] = (cons[:kc], 0.5 * res_norms[:kc, 0] ** 2,
-                                        res_norms[:kc, 1:].sum(axis=1) / p, kkt[:kc],
-                                        norms[:kc, m + 2])
+                blocks.append(np.array((cons[:kc], 0.5 * res_norms[:kc, 0] ** 2,
+                                         res_norms[:kc, 1:].sum(axis=1) / p, kkt[:kc],
+                                         norms[:kc, m + 2])))
             if record:
                 mean_hist[t:t + kc] = Wbar[:kc]
             t += kc
             buf[0] = buf[kc - 1 if diverged else kc]
 
-    trace = RunTrace(*(columns[:, :t] if series else [None] * 5), alpha=alpha,
-                     converged=converged, diverged=diverged, iterations=t,
+    trace = RunTrace(*(np.concatenate(blocks, axis=1) if series else [None] * 5),
+                     alpha=alpha, converged=converged, diverged=diverged, iterations=t,
                      mean_history=mean_hist[:t] if record else None,
                      row_basis=red.B if red.Phi is None else None)
     return red.states(buf[0]), trace

@@ -79,21 +79,36 @@ def radial_dictionary(centers, width: float) -> Dictionary:
                       centers=centers, width=float(width))
 
 
+# bytes of one n x n float64 array the pipeline may hold: n <= 16,384
+MAX_MATRIX_BYTES = 2**31
+
+
+def _feature_count(n: int) -> int:
+    """``n``, if one n x n float64 array fits in ``MAX_MATRIX_BYTES``."""
+    if 8 * n * n > MAX_MATRIX_BYTES:
+        raise ValueError(f"n = {n} features: one n x n float64 array would take "
+                         f"{8 * n * n / 2**30:.3g} GiB, over the {MAX_MATRIX_BYTES >> 30} GiB cap")
+    return n
+
+
 def parse_dictionary(spec: str, q: int, seed: int = 0) -> Dictionary:
     """Dictionary from a config string.
 
     ``"vectorization"``, ``"monomial:<max_degree>"``, or
     ``"radial:<num_centers>:<width>"`` (centers drawn uniformly from
-    [0, 1]^q with the given seed).
+    [0, 1]^q with the given seed).  A spec whose n x n arrays would exceed
+    ``MAX_MATRIX_BYTES`` is refused from its n before anything is built.
     """
     parts = spec.split(":")
     if parts[0] == "vectorization" and len(parts) == 1:
-        return vectorization_dictionary(q)
+        return vectorization_dictionary(_feature_count(q))
     if parts[0] == "monomial" and len(parts) == 2:
-        return monomial_dictionary(q, int(parts[1]))
+        degree = int(parts[1])
+        _feature_count(comb(q + degree, degree) if degree > 0 else 1)
+        return monomial_dictionary(q, degree)
     if parts[0] == "radial" and len(parts) == 3:
         rng = np.random.default_rng(seed)
-        centers = rng.uniform(0.0, 1.0, size=(int(parts[1]), q))
+        centers = rng.uniform(0.0, 1.0, size=(_feature_count(int(parts[1])), q))
         return radial_dictionary(centers, float(parts[2]))
     raise ValueError(f"cannot parse dictionary spec {spec!r}")
 
@@ -176,10 +191,7 @@ def lift(seq: SnapshotSequence, dictionary: Dictionary) -> LiftedData:
     if dictionary.input_dim != seq.state_dim:
         raise DimensionError(
             f"dictionary input dim {dictionary.input_dim} != state dim {seq.state_dim}")
-    if dictionary.kind == "vectorization":
-        lifted = seq.states.T.copy()
-    else:
-        lifted = np.column_stack([dictionary.lift_state(x) for x in seq.states])
+    lifted = np.column_stack([dictionary.lift_state(x) for x in seq.states])
     return LiftedData(X=lifted[:, :-1], Y=lifted[:, 1:])
 
 

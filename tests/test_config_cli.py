@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dkoopman import cli, consensus, dataio
+from dkoopman import cli, consensus, dataio, edmd, scenario
 from dkoopman.config import ConfigError, from_dict, load_config, to_dict
 from dkoopman.consensus import SolverGains, initial_states, run, spectral_report
 from dkoopman.graphs import laplacian
@@ -68,6 +69,16 @@ class TestConfigSchema:
     def test_round_trip_paper_scale(self):
         cfg = from_dict({"scale": "paper"})
         assert from_dict(to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("extra", [
+        {"graph": {"edge_file": "g.txt"}},
+        {"gains": {"k_P": 5.0, "k_I": 2.0, "alpha": 0.01}},  # theta None
+        {"rank_tol": 1e-7},
+        {"init": {"mode": "random", "seed": 4}},
+    ])
+    def test_round_trip_through_json_text(self, extra):
+        cfg = from_dict(small_config(**extra))
+        assert from_dict(json.loads(json.dumps(to_dict(cfg)))) == cfg
 
     def test_defaults_by_scale(self):
         desk = from_dict({})
@@ -417,6 +428,27 @@ class TestExperimentCommand:
         assert err.shape == (10, n)
         assert np.all(np.isfinite(err)) and err.max() <= 1e-10
 
+    @pytest.mark.parametrize("cfg", [
+        {"dictionary": "radial:10000000000:1"},  # 10^10 centers: 1.16 TiB of them
+        {"scale": "paper", "dictionary": "monomial:2"},  # n = C(402, 2) = 80,601
+    ])
+    def test_oversized_dictionary_exit_2(self, tmp_path, capsys, monkeypatch, cfg):
+        # refused from the spec's feature count, before any dictionary or frame
+        def never(*args, **kwargs):
+            raise AssertionError("built before the size check")
+
+        for module, name in ((edmd, "monomial_dictionary"), (edmd, "radial_dictionary"),
+                             (scenario, "simulate_frames")):
+            monkeypatch.setattr(module, name, never)
+        path = write_config(tmp_path, cfg)
+        start = time.perf_counter()
+        assert cli.main(["experiment", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "dictionary" in err and "GiB" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_rich_dictionary_n_much_larger_than_N(self, tmp_path):
         # monomials up to degree 3 of 16 grid values: n = 969 features from
         # N = 6 columns, so the spectral report solves a 2pr = 36 block, not
@@ -469,6 +501,8 @@ class TestAlphaSweepCommand:
         assert cli.main(["alpha-sweep", "--config", path, "--thetas", "-1"]) == 2
         assert cli.main(["alpha-sweep", "--config", path, "--thetas", "nan"]) == 2
         assert cli.main(["alpha-sweep", "--config", path, "--thetas", "0.5,inf"]) == 2
+        assert cli.main(["alpha-sweep", "--config", path, "--thetas", ""]) == 2
+        assert cli.main(["alpha-sweep", "--config", path, "--thetas", "1e400"]) == 2
         assert not (tmp_path / "s").exists()
 
     def test_paper_scale_contraction(self, tmp_path):

@@ -1013,7 +1013,8 @@ class TestSeriesFreeRun:
 
     def test_unbounded_t_max_stops_early(self):
         # t_max rounds of series or history could not be reserved up front:
-        # the series grow with the run, and the history is over the cap
+        # each chunk appends its block of the series, and the history is
+        # over the cap
         inst = _desk_instance()
         gains = self._gains(inst, 0.5, t_max=10**15, stop_tol=1e-8)
         full = _series_free_matches(initial_states(3, 16), inst.graph, gains,

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from dkoopman.edmd import (Dictionary, KoopmanModel, LiftedData, SnapshotSequence,
-                           centralized_solve, fit_metric, lift, monomial_dictionary,
-                           objective, parse_dictionary, radial_dictionary, rollout,
-                           vectorization_dictionary)
+from dkoopman.edmd import (MAX_MATRIX_BYTES, Dictionary, KoopmanModel, LiftedData,
+                           SnapshotSequence, centralized_solve, fit_metric, lift,
+                           monomial_dictionary, objective, parse_dictionary,
+                           radial_dictionary, rollout, vectorization_dictionary)
 from dkoopman.linalg import DimensionError
 
 
@@ -44,6 +44,23 @@ class TestDictionaries:
         assert parse_dictionary("monomial:3", 2).output_dim == 10
         d = parse_dictionary("radial:5:0.7", 2, seed=3)
         assert d.output_dim == 5 and d.width == 0.7
+
+    @pytest.mark.parametrize("spec, q, bigger, bigger_q", [
+        ("vectorization", 16384, "vectorization", 16385),
+        ("radial:16384:1", 1, "radial:16385:1", 1),
+    ])
+    def test_parse_size_cap(self, spec, q, bigger, bigger_q):
+        # one n x n float64 array at MAX_MATRIX_BYTES = 2 GiB is allowed, one
+        # more feature is refused
+        assert 8 * 16384**2 == MAX_MATRIX_BYTES
+        assert parse_dictionary(spec, q).output_dim == 16384
+        with pytest.raises(ValueError, match="GiB cap"):
+            parse_dictionary(bigger, bigger_q)
+
+    def test_parse_size_cap_monomial(self):
+        # n = C(q + d, d), counted without building the exponents
+        with pytest.raises(ValueError, match="n = 80601 features"):
+            parse_dictionary("monomial:2", 400)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
