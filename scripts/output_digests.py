@@ -13,7 +13,8 @@ Runs, each into its own directory under one temporary directory:
 * ``alpha-sweep`` on sweep, seed 5, with ``stop_tol`` 0 and ``t_max`` 8,000
   (the override of the benchmark's ``sweep`` workload);
 * ``alpha-sweep`` on sweep with ``--thetas 0.5,3.0`` (the flag's thetas
-  replace the config's).
+  replace the config's);
+* ``gen --scale desk --seed 5`` (the frames alone).
 
 Prints one line per output file, ``<sha256>  <run>/<file>``, in the run
 order above and by file name within a run.  BLAS is pinned to one thread
@@ -67,7 +68,8 @@ def runs(tmp: Path) -> list[tuple[str, list[str]]]:
             ("paper-random-sweep-t30", ["alpha-sweep", "--config", str(random_cfg)]),
             ("sweep-bench-seed5", ["alpha-sweep", "--config", str(bench_cfg), "--seed", "5"]),
             ("sweep-thetas", ["alpha-sweep", "--config", str(CONFIGS / "sweep.json"),
-                              "--thetas", "0.5,3.0"])]
+                              "--thetas", "0.5,3.0"]),
+            ("gen-desk-seed5", ["gen", "--scale", "desk", "--seed", "5"])]
 
 
 def main_digests() -> int:

@@ -8,10 +8,13 @@ fast full-row-rank setup, "paper" the 20 x 20 grid with N = 9).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
+from typing import Literal
 
 from .consensus import SolverGains
 from .edmd import parse_dictionary
@@ -44,11 +47,6 @@ SCALE_DEFAULTS = {
     },
 }
 
-_SCENARIO_INTS = {"grid_side", "num_agents", "snapshots_per_agent", "blob_count",
-                  "seed", "burn_in"}
-_SCENARIO_KEYS = _SCENARIO_INTS | {"drift", "diffusion", "saturation_gain"}
-_NUMBER = (int, float)
-
 
 @dataclass(frozen=True)
 class GraphConfig:
@@ -66,31 +64,53 @@ class GainsConfig:
 
 @dataclass(frozen=True)
 class InitConfig:
-    mode: str = "zeros"
+    mode: Literal["zeros", "random"] = "zeros"
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed: must be nonnegative")
 
 
 @dataclass(frozen=True)
 class RolloutConfig:
     steps: int = 10
-    start: str = "last_train"
+    start: Literal["last_train", "first_train"] = "last_train"
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ConfigError("steps: must be positive")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     scale: str
     scenario: GridScenario
-    graph: GraphConfig
     gains: GainsConfig
     t_max: int
     stop_tol: float
-    init: InitConfig
-    rollout: RolloutConfig
-    dictionary: str
-    rank_tol: float | None
-    out_dir: str
-    sweep_thetas: tuple[float, ...]
-    benchmark_repeats: int
+    graph: GraphConfig = GraphConfig()
+    init: InitConfig = InitConfig()
+    rollout: RolloutConfig = RolloutConfig()
+    dictionary: str = "vectorization"
+    rank_tol: float | None = None
+    out_dir: str = "out"
+    sweep_thetas: tuple[float, ...] = (0.3, 0.5, 0.9)
+    benchmark_repeats: int = 5
+
+    def __post_init__(self):
+        try:  # dry run: a bad spec fails here, before any computation
+            if parse_dictionary(self.dictionary, q=self.scenario.feature_dim,
+                                seed=self.scenario.seed).output_dim < 1:
+                raise ValueError("the dictionary has no observables")
+        except ValueError as exc:
+            raise ConfigError(f"dictionary: {exc}") from exc
+        if self.rank_tol is not None and self.rank_tol < 0:
+            raise ConfigError("rank_tol: must be nonnegative")
+        if not self.sweep_thetas or any(v <= 0 for v in self.sweep_thetas):
+            raise ConfigError("sweep_thetas: needs one or more values, all positive")
+        if self.benchmark_repeats < 1:
+            raise ConfigError("benchmark_repeats: must be positive")
 
     def solver_gains(self) -> SolverGains:
         try:
@@ -115,121 +135,77 @@ def _expect(value, types, path: str):
     return value
 
 
-def _sub_dict(raw: dict, key: str, allowed: set, path: str) -> dict:
-    sub = raw.pop(key, {})
-    _expect(sub, dict, f"{path}{key}")
-    unknown = set(sub) - allowed
+_hints = functools.cache(typing.get_type_hints)  # evaluating string annotations is slow
+
+
+def _parse(value, hint, path: str):
+    """``value`` checked against the annotation ``hint``; a JSON list becomes a tuple."""
+    if hint is float:
+        return float(_expect(value, (int, float), path))
+    if hint is int or hint is str:
+        return _expect(value, hint, path)
+    if is_dataclass(hint):
+        return _build(hint, _expect(value, dict, path), f"{path}.")
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Literal:
+        if value not in args:
+            raise ConfigError(f"{path}: must be one of {list(args)}, got {value!r}")
+        return value
+    if origin is tuple:  # tuple[T, ...] or a fixed tuple[T1, T2]
+        items = _expect(value, (list, tuple), path)
+        kinds = args[:1] * len(items) if args[-1] is Ellipsis else args
+        if len(kinds) != len(items):
+            raise ConfigError(f"{path}: expected {len(kinds)} items, got {len(items)}")
+        return tuple(_parse(item, kind, path) for item, kind in zip(items, kinds))
+    return None if value is None else _parse(value, args[0], path)  # X | None
+
+
+def _build(cls, raw: dict, prefix: str):
+    """``cls`` from the JSON object at ``prefix``; its field defaults fill missing keys.
+
+    A config class's own ConfigError names the field, below ``prefix``; any
+    other ValueError (GridScenario's) is named by the object's path.
+    """
+    hints = _hints(cls)
+    unknown = raw.keys() - hints.keys()
     if unknown:
-        raise ConfigError(f"{path}{key}: unknown keys {sorted(unknown)}")
-    return dict(sub)
+        raise ConfigError(f"unknown {prefix[:-1] or 'config'} keys {sorted(unknown)}")
+    kwargs = {key: _parse(value, hints[key], prefix + key) for key, value in raw.items()}
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{prefix[:-1]}: {exc}") from exc
 
 
 def from_dict(raw: dict) -> RunConfig:
     """Validate a plain JSON dict into a RunConfig, rejecting unknown keys."""
-    _expect(raw, dict, "config")
-    work = dict(raw)
-
-    scale = _expect(work.pop("scale", "desk"), str, "scale")
+    work = dict(_expect(raw, dict, "config"))
+    scale = _expect(work.setdefault("scale", "desk"), str, "scale")
     if scale not in SCALE_DEFAULTS:
         raise ConfigError(f"scale: must be one of {sorted(SCALE_DEFAULTS)}, got {scale!r}")
-    defaults = SCALE_DEFAULTS[scale]
 
-    scn_dict = {**defaults["scenario"],
-                **_sub_dict(work, "scenario", _SCENARIO_KEYS, "")}
-    for key, value in scn_dict.items():
-        if key != "drift":
-            _expect(value, int if key in _SCENARIO_INTS else _NUMBER, f"scenario.{key}")
-    if "drift" in scn_dict:
-        drift = scn_dict["drift"]
-        _expect(drift, (list, tuple), "scenario.drift")
-        if len(drift) != 2:
-            raise ConfigError("scenario.drift: expected [vx, vy]")
-        scn_dict["drift"] = tuple(float(_expect(v, _NUMBER, "scenario.drift")) for v in drift)
-    try:
-        scenario = GridScenario(**scn_dict)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"scenario: {exc}") from exc
+    graph = work.get("graph")
+    if isinstance(graph, dict):
+        if "preset" in graph and "edge_file" in graph:
+            raise ConfigError("graph: give either 'preset' or 'edge_file', not both")
+        for key in graph.keys() & {"preset", "edge_file"}:  # None only marks the other key
+            _expect(graph[key], str, f"graph.{key}")
+        if "edge_file" in graph:
+            work["graph"] = {**graph, "preset": None}
 
-    graph_dict = _sub_dict(work, "graph", {"preset", "edge_file"}, "")
-    if "preset" in graph_dict and "edge_file" in graph_dict:
-        raise ConfigError("graph: give either 'preset' or 'edge_file', not both")
-    if "edge_file" in graph_dict:
-        graph = GraphConfig(preset=None, edge_file=_expect(graph_dict["edge_file"], str,
-                                                           "graph.edge_file"))
-    else:
-        graph = GraphConfig(preset=_expect(graph_dict.get("preset", "ring"), str,
-                                           "graph.preset"), edge_file=None)
+    gains = work.get("gains")
+    if isinstance(gains, dict) and gains.get("alpha") is not None:
+        if gains.get("theta") is not None:
+            raise ConfigError("gains: give either 'alpha' or 'theta', not both")
+        work["gains"] = {**gains, "theta": None}  # explicit alpha replaces the scale's theta
 
-    user_gains = _sub_dict(work, "gains", {"k_P", "k_I", "alpha", "theta"}, "")
-    if user_gains.get("alpha") is not None and user_gains.get("theta") is not None:
-        raise ConfigError("gains: give either 'alpha' or 'theta', not both")
-    gains_dict = {**defaults["gains"], **user_gains}
-    if user_gains.get("alpha") is not None:
-        gains_dict.pop("theta", None)  # explicit alpha replaces the scale default theta
-    for key in ("k_P", "k_I"):
-        _expect(gains_dict.get(key), _NUMBER, f"gains.{key}")
-    for key in ("alpha", "theta"):
-        if gains_dict.get(key) is not None:
-            _expect(gains_dict[key], _NUMBER, f"gains.{key}")
-    gains = GainsConfig(k_P=float(gains_dict["k_P"]), k_I=float(gains_dict["k_I"]),
-                        alpha=(None if gains_dict.get("alpha") is None
-                               else float(gains_dict["alpha"])),
-                        theta=(None if gains_dict.get("theta") is None
-                               else float(gains_dict["theta"])))
-
-    t_max = int(_expect(work.pop("t_max", defaults["t_max"]), (int,), "t_max"))
-    stop_tol = float(_expect(work.pop("stop_tol", defaults["stop_tol"]), _NUMBER,
-                             "stop_tol"))
-
-    init_dict = _sub_dict(work, "init", {"mode", "seed"}, "")
-    init = InitConfig(mode=str(init_dict.get("mode", "zeros")),
-                      seed=_expect(init_dict.get("seed", 0), int, "init.seed"))
-    if init.mode not in ("zeros", "random"):
-        raise ConfigError(f"init.mode: must be 'zeros' or 'random', got {init.mode!r}")
-    if init.seed < 0:
-        raise ConfigError("init.seed: must be nonnegative")
-
-    roll_dict = _sub_dict(work, "rollout", {"steps", "start"}, "")
-    rollout = RolloutConfig(steps=_expect(roll_dict.get("steps", 10), int, "rollout.steps"),
-                            start=str(roll_dict.get("start", "last_train")))
-    if rollout.start not in ("last_train", "first_train"):
-        raise ConfigError("rollout.start: must be 'last_train' or 'first_train'")
-    if rollout.steps < 1:
-        raise ConfigError("rollout.steps: must be positive")
-
-    dictionary = _expect(work.pop("dictionary", "vectorization"), str, "dictionary")
-    try:  # dry run: a bad spec fails here, before any computation
-        if parse_dictionary(dictionary, q=scenario.feature_dim,
-                            seed=scenario.seed).output_dim < 1:
-            raise ValueError("the dictionary has no observables")
-    except ValueError as exc:
-        raise ConfigError(f"dictionary: {exc}") from exc
-
-    rank_tol = work.pop("rank_tol", None)
-    if rank_tol is not None:
-        rank_tol = float(_expect(rank_tol, _NUMBER, "rank_tol"))
-        if rank_tol < 0:
-            raise ConfigError("rank_tol: must be nonnegative")
-
-    out_dir = _expect(work.pop("out_dir", "out"), str, "out_dir")
-
-    thetas = work.pop("sweep_thetas", [0.3, 0.5, 0.9])
-    _expect(thetas, (list, tuple), "sweep_thetas")
-    sweep_thetas = tuple(float(_expect(v, _NUMBER, "sweep_thetas")) for v in thetas)
-    if not sweep_thetas or any(v <= 0 for v in sweep_thetas):
-        raise ConfigError("sweep_thetas: needs one or more values, all positive")
-
-    repeats = int(_expect(work.pop("benchmark_repeats", 5), (int,), "benchmark_repeats"))
-    if repeats < 1:
-        raise ConfigError("benchmark_repeats: must be positive")
-
-    if work:
-        raise ConfigError(f"unknown config keys {sorted(work)}")
-
-    return RunConfig(scale=scale, scenario=scenario, graph=graph, gains=gains,
-                     t_max=t_max, stop_tol=stop_tol, init=init, rollout=rollout,
-                     dictionary=dictionary, rank_tol=rank_tol, out_dir=out_dir,
-                     sweep_thetas=sweep_thetas, benchmark_repeats=repeats)
+    for key, default in SCALE_DEFAULTS[scale].items():
+        value = work.setdefault(key, default)
+        if isinstance(default, dict) and isinstance(value, dict):
+            work[key] = {**default, **value}
+    return _build(RunConfig, work, "")
 
 
 def to_dict(cfg: RunConfig) -> dict:
@@ -254,10 +230,8 @@ def load_config(path=None, scale: str | None = None, seed: int | None = None,
     raw = dict(raw)
     if scale is not None:
         raw["scale"] = scale
-    if seed is not None:
-        scn = dict(raw.get("scenario", {}))
-        scn["seed"] = seed
-        raw["scenario"] = scn
+    if seed is not None and isinstance(raw.get("scenario", {}), dict):
+        raw["scenario"] = {**raw.get("scenario", {}), "seed": seed}  # from_dict refuses others
     if out_dir is not None:
         raw["out_dir"] = out_dir
     return from_dict(raw)

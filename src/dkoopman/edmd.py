@@ -129,10 +129,6 @@ class SnapshotSequence:
         object.__setattr__(self, "states", arr)
 
     @property
-    def count(self) -> int:
-        return int(self.states.shape[0])
-
-    @property
     def state_dim(self) -> int:
         return int(self.states.shape[1])
 

@@ -64,10 +64,6 @@ class Spectrum:
             raise ValueError("zero_tol must be nonnegative")
 
     @property
-    def dim(self) -> int:
-        return int(self.eigenvalues.size)
-
-    @property
     def nonzero(self) -> np.ndarray:
         """Eigenvalues classified as nonzero (|lambda| > zero_tol)."""
         return self.eigenvalues[np.abs(self.eigenvalues) > self.zero_tol]

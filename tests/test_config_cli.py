@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -286,6 +287,18 @@ class TestExperimentCommand:
         assert cli.main(["experiment", "--config", path]) == 2
         err = capsys.readouterr().err
         assert where in err and len(err.splitlines()) == 1 and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("scenario", [[1], "ab", 5, None])
+    def test_seed_override_of_non_object_scenario_exit_2(self, tmp_path, monkeypatch,
+                                                         capsys, scenario):
+        # --seed goes into the scenario object; anything else is refused as
+        # it is without --seed
+        path = write_config(tmp_path, {"scenario": scenario})
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["experiment", "--config", path, "--seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "scenario" in err and len(err.splitlines()) == 1 and "Traceback" not in err
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("command", ["experiment", "alpha-sweep"])
@@ -774,6 +787,20 @@ def test_every_malformed_leaf_keeps_the_exit_contract(tmp_path, capsys):
             if rc not in (0, 2, 3, 4) or len(err.splitlines()) != (rc != 0):
                 failures.append((path, value, rc, err))
     assert not failures
+
+
+def test_every_wrong_typed_leaf_is_named_by_its_path():
+    # a string where TINY has a number (or null), a number where it has a
+    # string; a list item is named by the list's path
+    for path in _leaves(TINY):
+        cfg = json.loads(json.dumps(TINY))
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = 1 if isinstance(node[path[-1]], str) else "x"
+        where = ".".join(key for key in path if isinstance(key, str))
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            from_dict(cfg)
 
 
 class TestRankTolConfig:
