@@ -14,7 +14,12 @@ Runs, each into its own directory under one temporary directory:
   (the override of the benchmark's ``sweep`` workload);
 * ``alpha-sweep`` on sweep with ``--thetas 0.5,3.0`` (the flag's thetas
   replace the config's);
-* ``gen --scale desk --seed 5`` (the frames alone).
+* ``gen --scale desk --seed 5`` (the frames alone);
+* ``experiment`` on desk with the path graph read from an edge file;
+* ``experiment`` on desk with the dictionary ``radial:20:0.5`` and ``t_max``
+  300;
+* ``solve-central`` on the desk seed-5 ``X.csv`` and ``Y.csv``, written into
+  the run's own directory, so they are digested too.
 
 Prints one line per output file, ``<sha256>  <run>/<file>``, in the run
 order above and by file name within a run.  BLAS is pinned to one thread
@@ -41,11 +46,15 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from dkoopman import dataio  # noqa: E402
 from dkoopman.cli import main  # noqa: E402
+from dkoopman.config import load_config  # noqa: E402
+from dkoopman.scenario import build_instance  # noqa: E402
 
 CONFIGS = ROOT / "configs"
 RANDOM_PAPER = {"scale": "paper", "init": {"mode": "random"}, "t_max": 30}
 SWEEP_BENCH = {"stop_tol": 0.0, "t_max": 8000}
+RADIAL_DESK = {"scale": "desk", "dictionary": "radial:20:0.5", "t_max": 300}
 
 
 def runs(tmp: Path) -> list[tuple[str, list[str]]]:
@@ -55,6 +64,18 @@ def runs(tmp: Path) -> list[tuple[str, list[str]]]:
     bench_cfg = tmp / "sweep_bench.json"
     sweep = json.loads((CONFIGS / "sweep.json").read_text(encoding="utf-8"))
     bench_cfg.write_text(json.dumps({**sweep, **SWEEP_BENCH}), encoding="utf-8")
+    path3 = tmp / "path3.txt"
+    path3.write_text("3\n0 1\n1 2\n", encoding="utf-8")
+    edge_cfg = tmp / "desk_edge_file.json"
+    edge_cfg.write_text(json.dumps({"scale": "desk", "graph": {"edge_file": str(path3)}}),
+                        encoding="utf-8")
+    radial_cfg = tmp / "desk_radial.json"
+    radial_cfg.write_text(json.dumps(RADIAL_DESK), encoding="utf-8")
+    central = tmp / "runs" / "solve-central-desk-seed5"
+    cfg = load_config(CONFIGS / "desk.json", seed=5)
+    data = build_instance(cfg.scenario, cfg.graph.preset, cfg.dictionary).data
+    dataio.write_matrix_csv(central / "X.csv", data.X)
+    dataio.write_matrix_csv(central / "Y.csv", data.Y)
 
     def seeded(name, command, seeds):
         config = str(CONFIGS / f"{name}.json")
@@ -69,7 +90,10 @@ def runs(tmp: Path) -> list[tuple[str, list[str]]]:
             ("sweep-bench-seed5", ["alpha-sweep", "--config", str(bench_cfg), "--seed", "5"]),
             ("sweep-thetas", ["alpha-sweep", "--config", str(CONFIGS / "sweep.json"),
                               "--thetas", "0.5,3.0"]),
-            ("gen-desk-seed5", ["gen", "--scale", "desk", "--seed", "5"])]
+            ("gen-desk-seed5", ["gen", "--scale", "desk", "--seed", "5"]),
+            ("desk-edge-file", ["experiment", "--config", str(edge_cfg)]),
+            ("desk-radial", ["experiment", "--config", str(radial_cfg)]),
+            (central.name, ["solve-central", str(central / "X.csv"), str(central / "Y.csv")])]
 
 
 def main_digests() -> int:

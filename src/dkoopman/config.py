@@ -111,6 +111,7 @@ class RunConfig:
             raise ConfigError("sweep_thetas: needs one or more values, all positive")
         if self.benchmark_repeats < 1:
             raise ConfigError("benchmark_repeats: must be positive")
+        self.solver_gains()  # dry run, like the dictionary's
 
     def solver_gains(self) -> SolverGains:
         try:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .edmd import LiftedData
 from .graphs import DisconnectedGraphError, Graph, Laplacian, is_connected, laplacian
-from .linalg import (ZERO_TOL_FACTOR, Spectrum, eigenvalues, frobenius_norm, psd_sqrt,
+from .linalg import (ZERO_TOL_FACTOR, Spectrum, as_matrix, eigenvalues, psd_sqrt,
                      range_basis)
 
 DIVERGENCE_GUARD = 1e12
@@ -107,13 +107,10 @@ class AgentState:
     R: np.ndarray
 
     def __post_init__(self):
-        K = np.asarray(self.K, dtype=float)
-        R = np.asarray(self.R, dtype=float)
-        if K.ndim != 2 or K.shape[0] != K.shape[1] or R.shape != K.shape:
+        K, R = as_matrix(self.K, "K"), as_matrix(self.R, "R")
+        if K.shape[0] != K.shape[1] or R.shape != K.shape:
             raise ValueError(
                 f"K must be square and R must match, got {K.shape} / {R.shape}")
-        if not (np.all(np.isfinite(K)) and np.all(np.isfinite(R))):
-            raise ValueError("agent state contains non-finite entries")
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "R", R)
 
@@ -328,29 +325,22 @@ def spectral_report(part: Partition, data: LiftedData, lap: Laplacian,
     mu, U = np.linalg.eigh(L)
     mu[0] = 0.0  # the single zero eigenvalue of a connected graph, made exact
     root = (U * np.sqrt(mu)) @ U.T
-    with np.errstate(over="ignore", invalid="ignore"):  # huge gains: zero_tol rejects them
+    with np.errstate(over="ignore", invalid="ignore"):  # huge gains: the cutoffs reject them
         tilde_V, plain_V = _restricted_pair(gram, L, root, k_P, k_I)
         tilde_perp, plain_perp = _restricted_pair(np.zeros((p, p)), L, root, k_P, k_I)
+        tol_t, tol_M = (ZERO_TOL_FACTOR * float(np.sqrt(np.linalg.norm(V, "fro") ** 2
+                                                        + (n - r) * np.linalg.norm(W, "fro") ** 2))
+                        for V, W in ((tilde_V, tilde_perp), (plain_V, plain_perp)))
+    if not np.isfinite([tol_t, tol_M]).all():
+        raise NotSemiHurwitzError(
+            f"gains k_P={k_P:g}, k_I={k_I:g} overflow M~ or its zero cutoff")
 
-    def zero_tol(on_V, on_perp):
-        try:
-            with np.errstate(over="raise"):
-                tol = ZERO_TOL_FACTOR * float(np.sqrt(frobenius_norm(on_V) ** 2
-                                                      + (n - r) * frobenius_norm(on_perp) ** 2))
-        except (ValueError, ArithmeticError):  # non-finite entries, or a norm overflows
-            tol = np.inf
-        if not np.isfinite(tol):
-            raise NotSemiHurwitzError(
-                f"gains k_P={k_P:g}, k_I={k_I:g} overflow M~ or its zero cutoff")
-        return tol
-
-    tol_t = zero_tol(tilde_V, tilde_perp)
     vals = np.concatenate([eigenvalues(tilde_V, zero_tol=tol_t).eigenvalues,
                            np.repeat(_quadratic_roots(mu, k_P, k_I), n - r)])
     spec_t = Spectrum(vals, tol_t)
     return SpectralReport(
         spectrum_M_tilde=spec_t,
-        spectrum_M=Spectrum(vals, zero_tol(plain_V, plain_perp)),
+        spectrum_M=Spectrum(vals, tol_M),
         alpha_max=compute_alpha_max(spec_t),
         n_zero=spec_t.n_zero,
         semi_hurwitz=semi_hurwitz_check(spec_t),

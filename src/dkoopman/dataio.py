@@ -116,8 +116,7 @@ TRACE_COLUMNS = ("iteration", "consensus_error", "objective_mean", "fit_metric",
 
 
 def write_trace_csv(path, trace) -> None:
-    series = (trace.consensus_error, trace.objective_mean, trace.fit_metric,
-              trace.kkt_residual, trace.integral_sum_norm)
+    series = [getattr(trace, name) for name in TRACE_COLUMNS[1:]]
     atomic_write_text(path, _csv_text("%d" + ",%.17g" * len(series),
                                       zip(range(1, trace.iterations + 1), *series),
                                       (",".join(TRACE_COLUMNS),)))

@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .linalg import DimensionError, pseudoinverse
+from .linalg import DimensionError, as_matrix, pseudoinverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +73,9 @@ def monomial_dictionary(q: int, max_degree: int) -> Dictionary:
 
 def radial_dictionary(centers, width: float) -> Dictionary:
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    if not (np.isfinite(width) and width > 0):
-        raise ValueError(f"radial width must be positive and finite, got {width!r}")
+    with np.errstate(over="ignore", under="ignore"):  # lift_state divides by 2 * width**2
+        if not (width > 0 and 0.0 < 2.0 * np.float64(width) ** 2 < np.inf):
+            raise ValueError(f"radial width needs 2 * width**2 positive and finite, got {width!r}")
     return Dictionary("radial", centers.shape[1], centers.shape[0],
                       centers=centers, width=float(width))
 
@@ -120,12 +121,9 @@ class SnapshotSequence:
     states: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.states, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 2:
-            raise DimensionError(
-                f"need a (count>=2, q) state array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("snapshot states contain non-finite entries")
+        arr = as_matrix(self.states, "snapshot states")
+        if arr.shape[0] < 2:
+            raise DimensionError(f"need at least two states, got shape {arr.shape}")
         object.__setattr__(self, "states", arr)
 
     @property
@@ -141,16 +139,9 @@ class LiftedData:
     Y: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        Y = np.asarray(self.Y, dtype=float)
-        if X.ndim != 2 or X.shape != Y.shape:
-            raise DimensionError(
-                f"X and Y must be 2-D with identical shape, got {X.shape} / {Y.shape}")
-        if X.size == 0:
-            raise DimensionError(f"need at least one feature and one data column, "
-                                 f"got shape {X.shape}")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-            raise ValueError("lifted data contains non-finite entries")
+        X, Y = as_matrix(self.X, "X"), as_matrix(self.Y, "Y")
+        if X.shape != Y.shape or X.size == 0:
+            raise DimensionError(f"X and Y need one nonempty shape, got {X.shape} / {Y.shape}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 
@@ -170,11 +161,9 @@ class KoopmanModel:
     K: np.ndarray
 
     def __post_init__(self):
-        K = np.asarray(self.K, dtype=float)
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        K = as_matrix(self.K, "operator")
+        if K.shape[0] != K.shape[1]:
             raise DimensionError(f"operator must be square, got shape {K.shape}")
-        if not np.all(np.isfinite(K)):
-            raise ValueError("operator contains non-finite entries")
         object.__setattr__(self, "K", K)
 
     @property

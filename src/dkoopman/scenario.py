@@ -23,7 +23,8 @@ from .consensus import (Partition, RunTrace, SolverGains, SpectralReport,
                         run, spectral_report)
 from .edmd import (Dictionary, KoopmanModel, LiftedData, SnapshotSequence,
                    centralized_solve, lift, parse_dictionary, rollout)
-from .graphs import DisconnectedGraphError, Graph, is_connected, laplacian, preset_graph
+from .graphs import (DisconnectedGraphError, Graph, GraphError, is_connected, laplacian,
+                     preset_graph)
 from .linalg import eigenvalues, range_basis
 
 
@@ -183,27 +184,27 @@ class Instance:
 def build_instance(scn: GridScenario, graph_preset: str | Graph = "ring",
                    dictionary_spec: str = "vectorization",
                    extra_frames: int = 0) -> Instance:
-    """Generate frames, lift them, partition the columns, build the topology.
+    """Build the topology, then generate frames, lift them, partition the columns.
 
     ``graph_preset`` is a preset name or a prebuilt :class:`Graph` on
     exactly ``scn.num_agents`` vertices.
     """
-    N = scn.num_samples
-    frames = simulate_frames(scn, N + 1 + extra_frames)
-    seq = SnapshotSequence(frames[:N + 1].reshape(N + 1, -1))
-    dictionary = parse_dictionary(dictionary_spec, q=scn.feature_dim, seed=scn.seed)
-    data = lift(seq, dictionary)
-    part = partition_data(data, sequential_widths(N, scn.num_agents))
     if isinstance(graph_preset, Graph):
         graph = graph_preset
         if graph.p != scn.num_agents:
-            raise ValueError(f"graph has {graph.p} vertices, scenario has "
+            raise GraphError(f"graph has {graph.p} vertices, scenario has "
                              f"{scn.num_agents} agents")
     else:
         graph = preset_graph(graph_preset, scn.num_agents)
     if not is_connected(graph):
         raise DisconnectedGraphError(
             f"communication graph on {scn.num_agents} agents is not connected")
+    N = scn.num_samples
+    frames = simulate_frames(scn, N + 1 + extra_frames)
+    seq = SnapshotSequence(frames[:N + 1].reshape(N + 1, -1))
+    dictionary = parse_dictionary(dictionary_spec, q=scn.feature_dim, seed=scn.seed)
+    data = lift(seq, dictionary)
+    part = partition_data(data, sequential_widths(N, scn.num_agents))
     return Instance(scn, frames, dictionary, data, part, graph)
 
 
@@ -222,7 +223,6 @@ class ExperimentReport:
     alpha: float
     alpha_max: float
     rho_max: float | None
-    kkt_final: float
     instance: Instance
 
 
@@ -304,6 +304,5 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
         alpha=alpha,
         alpha_max=spectral.alpha_max,
         rho_max=rho_max,
-        kkt_final=float(trace.kkt_residual[-1]),
         instance=inst,
     )

@@ -107,9 +107,8 @@ class TestConfigSchema:
             from_dict({"scenario": {"diffusion": 0.9}})
 
     def test_theta_out_of_range_surfaces_as_config_error(self):
-        cfg = from_dict({"gains": {"theta": 1.5}})
         with pytest.raises(ConfigError, match="gains"):
-            cfg.solver_gains()
+            from_dict({"gains": {"theta": 1.5}})
 
     def test_explicit_alpha_supersedes_default_theta(self):
         cfg = from_dict({"gains": {"alpha": 0.01}})
@@ -262,6 +261,8 @@ class TestExperimentCommand:
         ({"scale": []}, "scale"),
         ({"scale": {}}, "scale"),
         ({"dictionary": "radial:2:nan"}, "dictionary"),
+        ({"dictionary": "radial:3:1e200"}, "dictionary"),  # 2 * width**2 overflows
+        ({"dictionary": "radial:3:1e-200"}, "dictionary"),  # 2 * width**2 underflows to 0
     ])
     def test_malformed_leaf_exit_2(self, tmp_path, capsys, cfg, where):
         path = write_config(tmp_path, cfg)
@@ -370,12 +371,27 @@ class TestExperimentCommand:
                            out_dir=str(tmp_path / "run"))
         assert cli.main(["experiment", "--config", write_config(tmp_path, cfg)]) == 3
 
-    def test_graph_size_mismatch_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("command", ["experiment", "alpha-sweep", "benchmark"])
+    def test_graph_size_mismatch_exit_2(self, tmp_path, capsys, command):
         graph_path = tmp_path / "g.txt"
         graph_path.write_text("4\n0 1\n1 2\n2 3\n")
         cfg = small_config(graph={"edge_file": str(graph_path)},
                            out_dir=str(tmp_path / "run"))
-        assert cli.main(["experiment", "--config", write_config(tmp_path, cfg)]) == 2
+        assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("cfg", [{"t_max": 0}, {"stop_tol": -1.0},
+                                     {"gains": {"theta": 1.5}}, {"gains": {"k_I": 0.0}}])
+    def test_gains_rules_checked_at_load_exit_2(self, tmp_path, capsys, cfg):
+        # gen never builds the solver's gains, yet refuses a config that breaks them
+        out = tmp_path / "run"
+        assert cli.main(["gen", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not out.exists()
 
     def test_divergent_alpha_exit_4(self, tmp_path):
         out = tmp_path / "run"

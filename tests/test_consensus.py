@@ -262,6 +262,18 @@ class TestGains:
         assert g2.alpha == 3.0 and g2.alpha_fraction is None
 
 
+@pytest.mark.parametrize("K, R", [
+    (np.ones(3), np.ones(3)),            # not 2-D
+    (np.ones((2, 3)), np.ones((2, 3))),  # K not square
+    (np.eye(2), np.eye(3)),              # R does not match K
+    ([[np.inf]], [[0.0]]),               # non-finite K
+    ([[0.0]], [[np.nan]]),               # non-finite R
+])
+def test_agent_state_validation(K, R):
+    with pytest.raises(ValueError):
+        AgentState(K, R)
+
+
 class TestStep:
     def test_single_agent_is_gradient_descent(self):
         rng = np.random.default_rng(9)

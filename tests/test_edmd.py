@@ -34,7 +34,8 @@ class TestDictionaries:
         assert out[1] == pytest.approx(1.0)
         assert out[0] == pytest.approx(np.exp(-1.0 / (2 * 0.25)))
 
-    @pytest.mark.parametrize("width", [0.0, -1.0, float("nan"), float("inf")])
+    # 1e200 and 1e-200: 2 * width**2, what the lift divides by, overflows or is 0
+    @pytest.mark.parametrize("width", [0.0, -1.0, float("nan"), float("inf"), 1e200, 1e-200])
     def test_radial_width_positive_and_finite(self, width):
         with pytest.raises(ValueError, match="width"):
             radial_dictionary([[0.0, 0.0]], width=width)
@@ -94,6 +95,25 @@ class TestLift:
             SnapshotSequence(np.zeros((1, 4)))
         with pytest.raises(ValueError):
             SnapshotSequence(np.array([[0.0], [np.inf]]))
+
+
+# each value class takes linalg.as_matrix's rule: a non-2-D array is a
+# DimensionError, a non-finite entry a plain ValueError
+VALUE_CLASSES = {
+    "SnapshotSequence": SnapshotSequence,
+    "LiftedData.X": lambda a: LiftedData(X=a, Y=np.ones_like(a)),
+    "LiftedData.Y": lambda a: LiftedData(X=np.ones_like(a), Y=a),
+    "KoopmanModel": KoopmanModel,
+}
+
+
+@pytest.mark.parametrize("make", VALUE_CLASSES.values(), ids=VALUE_CLASSES.keys())
+def test_value_classes_refuse_bad_arrays(make):
+    with pytest.raises(DimensionError):
+        make(np.ones(4))
+    with pytest.raises(ValueError) as info:
+        make(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    assert type(info.value) is ValueError
 
 
 class TestCentralizedSolve:
