@@ -18,6 +18,9 @@ Runs, each into its own directory under one temporary directory:
 * ``experiment`` on desk with the path graph read from an edge file;
 * ``experiment`` on desk with the dictionary ``radial:20:0.5`` and ``t_max``
   300;
+* ``experiment`` on desk with 4 agents of 6 snapshots on the complete graph
+  (Laplacian eigenvalues 0, 4, 4, 4: a repeated eigenvalue, and degree-3
+  vertices);
 * ``solve-central`` on the desk seed-5 ``X.csv`` and ``Y.csv``, written into
   the run's own directory, so they are digested too.
 
@@ -55,6 +58,8 @@ CONFIGS = ROOT / "configs"
 RANDOM_PAPER = {"scale": "paper", "init": {"mode": "random"}, "t_max": 30}
 SWEEP_BENCH = {"stop_tol": 0.0, "t_max": 8000}
 RADIAL_DESK = {"scale": "desk", "dictionary": "radial:20:0.5", "t_max": 300}
+COMPLETE4_DESK = {"scale": "desk", "scenario": {"num_agents": 4, "snapshots_per_agent": 6},
+                  "graph": {"preset": "complete"}}
 
 
 def runs(tmp: Path) -> list[tuple[str, list[str]]]:
@@ -71,6 +76,8 @@ def runs(tmp: Path) -> list[tuple[str, list[str]]]:
                         encoding="utf-8")
     radial_cfg = tmp / "desk_radial.json"
     radial_cfg.write_text(json.dumps(RADIAL_DESK), encoding="utf-8")
+    complete4_cfg = tmp / "desk_complete4.json"
+    complete4_cfg.write_text(json.dumps(COMPLETE4_DESK), encoding="utf-8")
     central = tmp / "runs" / "solve-central-desk-seed5"
     cfg = load_config(CONFIGS / "desk.json", seed=5)
     data = build_instance(cfg.scenario, cfg.graph.preset, cfg.dictionary).data
@@ -93,6 +100,7 @@ def runs(tmp: Path) -> list[tuple[str, list[str]]]:
             ("gen-desk-seed5", ["gen", "--scale", "desk", "--seed", "5"]),
             ("desk-edge-file", ["experiment", "--config", str(edge_cfg)]),
             ("desk-radial", ["experiment", "--config", str(radial_cfg)]),
+            ("desk-complete4", ["experiment", "--config", str(complete4_cfg)]),
             (central.name, ["solve-central", str(central / "X.csv"), str(central / "Y.csv")])]
 
 

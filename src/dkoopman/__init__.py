@@ -1,7 +1,6 @@
 """Distributed Koopman operator learning over communication graphs."""
 
 from .consensus import (AgentState, Partition, RunTrace, SolverGains, SpectralReport,
-                        assemble_M, assemble_M_tilde, assemble_block_X,
                         compute_alpha_max, compute_rho_max, initial_states,
                         iterate_rounds, kkt_residual, manual_gains, partition_data,
                         resolve_alpha, run, semi_hurwitz_check, spectral_report,
@@ -12,8 +11,7 @@ from .edmd import (Dictionary, KoopmanModel, LiftedData, SnapshotSequence,
                    vectorization_dictionary)
 from .graphs import (Graph, Laplacian, build_graph, is_connected, laplacian,
                      parse_graph_text, preset_graph)
-from .linalg import (Spectrum, eigenvalues, frobenius_norm, pseudoinverse, psd_sqrt,
-                     spectrum_distance)
+from .linalg import Spectrum, eigenvalues, pseudoinverse, spectrum_distance
 from .scenario import (ExperimentReport, GridScenario, advance, build_instance,
                        make_experiment, sequential_widths, simulate_frames)
 

@@ -118,8 +118,11 @@ class RunConfig:
             return SolverGains(k_P=self.gains.k_P, k_I=self.gains.k_I,
                                alpha=self.gains.alpha, alpha_fraction=self.gains.theta,
                                t_max=self.t_max, stop_tol=self.stop_tol)
-        except ValueError as exc:
-            raise ConfigError(f"gains: {exc}") from exc
+        except ValueError as exc:  # its message starts with the offending field
+            field, _, rule = str(exc).partition(" ")
+            path = {"alpha_fraction": "gains.theta", "t_max": "t_max",
+                    "stop_tol": "stop_tol"}.get(field, f"gains.{field}")
+            raise ConfigError(f"{path}: {rule}") from exc
 
 
 def _expect(value, types, path: str):

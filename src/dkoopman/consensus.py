@@ -24,13 +24,14 @@ rho_max = max sqrt(1 + 2 alpha re(lambda) + alpha^2 |lambda|^2).
 An isospectral variant M~ (the mixed off-diagonal blocks replaced by
 +/- sqrt(k_I) bL^{1/2}) shares the characteristic polynomial of M but has
 a numerically benign kernel, so the spectral report evaluates the step
-bounds on M~'s eigenvalues.  It never forms either 2np x 2np matrix: with
-V = range(X) of dimension r, both bX bX^T and bL leave V^p and its
-orthogonal complement invariant, so the spectrum splits into that of the
-2pr matrix built like M~ from the projected data, plus two closed-form
-roots per Laplacian eigenvalue with multiplicity n - r.  The dense
-assemblers stay as the reference for that split and for the
-spectrum-equality tests.
+bounds on M~'s eigenvalues.  It forms neither 2np x 2np matrix nor
+L^{1/2}: with V = range(X) of dimension r, both bX bX^T and bL leave V^p
+and its orthogonal complement invariant, and in the Laplacian eigenbasis M~
+splits per mode.  On V^p the zero mode's r integral coordinates decouple as
+exact zero eigenvalues, which leaves one dense (2p - 1)r core; on the
+complement each Laplacian eigenvalue gives two closed-form roots, n - r
+times each.  The dense assemblers stay as the reference for that split and
+for the spectrum-equality tests.
 """
 
 from __future__ import annotations
@@ -133,6 +134,7 @@ class SolverGains:
     Exactly one of ``alpha`` (explicit step size, any positive value, used
     for divergence studies too) and ``alpha_fraction`` (theta in (0, 1),
     resolved against alpha_max from a fresh spectral report) must be set.
+    Each error message starts with the name of the offending field.
     """
 
     k_P: float
@@ -143,10 +145,11 @@ class SolverGains:
     stop_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (self.k_P > 0 and self.k_I > 0):
-            raise ValueError("gains k_P and k_I must be positive")
+        for name in ("k_P", "k_I"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if (self.alpha is None) == (self.alpha_fraction is None):
-            raise ValueError("set exactly one of alpha and alpha_fraction")
+            raise ValueError("alpha_fraction must be set if and only if alpha is not")
         if self.alpha is not None and not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if self.alpha_fraction is not None and not 0 < self.alpha_fraction < 1:
@@ -269,21 +272,6 @@ def semi_hurwitz_check(spec: Spectrum) -> bool:
     return bool(np.all(spec.nonzero.real < 0.0))
 
 
-def _restricted_pair(gram: np.ndarray, L: np.ndarray, root: np.ndarray,
-                     k_P: float, k_I: float) -> tuple[np.ndarray, np.ndarray]:
-    """M~ and M on one invariant subspace W^p, given the agents' Grams on W.
-
-    ``gram`` is blockdiag(G_1..G_p) with k x k blocks, ``root`` = L^{1/2}.
-    """
-    eye = np.eye(gram.shape[0] // L.shape[0])
-    bL = np.kron(L, eye)
-    broot = np.sqrt(k_I) * np.kron(root, eye)
-    top = -gram - k_P * bL
-    zero = np.zeros_like(gram)
-    return (np.block([[top, broot], [-broot, zero]]),
-            np.block([[top, bL], [-k_I * np.eye(gram.shape[0]), zero]]))
-
-
 def _quadratic_roots(mu: np.ndarray, k_P: float, k_I: float) -> np.ndarray:
     """Both roots of lambda^2 + k_P mu lambda + k_I mu = 0 for each mu >= 0.
 
@@ -299,17 +287,19 @@ def _quadratic_roots(mu: np.ndarray, k_P: float, k_I: float) -> np.ndarray:
 
 def spectral_report(part: Partition, data: LiftedData, lap: Laplacian,
                     k_P: float, k_I: float) -> SpectralReport:
-    """Spectrum of M~ from its invariant subspaces, and the step-size analysis.
+    """Spectrum of M~ per Laplacian eigenmode, and the step-size analysis.
 
     With Q an orthonormal basis of V = range(X) (rank r under the
-    ``pseudoinverse`` cutoff), M~ restricted to V^p is the 2pr matrix built
-    like M~ from Q^T X_i and L^{1/2} kron I_r; it is solved densely.  On the
-    complement, where the data Grams vanish, each Laplacian eigenvalue mu
-    contributes the two roots of lambda^2 + k_P mu lambda + k_I mu = 0, n - r
-    times each.  The zero cutoffs are ``ZERO_TOL_FACTOR`` times the
-    Frobenius norms of M~ and M, which the same split gives without forming
-    either matrix.  Gains so large that M~ or a cutoff is not finite raise
-    :class:`NotSemiHurwitzError`.
+    ``pseudoinverse`` cutoff) and L = U diag(mu) U^T, M~ on V^p in the basis
+    U kron Q has the K-block -sum_i U[i, a] U[i, b] G_i - k_P mu_a delta_ab I_r
+    (G_i the Gram of Q^T X_i) and the coupling +/- sqrt(k_I mu_a) I_r, which
+    vanishes on mu_0 = 0: mode 0's r integral coordinates are exact zeros,
+    and the (2p - 1)r rest is solved densely.  On the complement each mu
+    gives the two roots of lambda^2 + k_P mu lambda + k_I mu = 0, n - r times
+    each.  The zero cutoffs are ``ZERO_TOL_FACTOR`` times the Frobenius norms
+    of M~ and M, summed from the blocks; ``n_zero`` counts every eigenvalue
+    under the cutoff, the 2n - r exact zeros among them.  Gains so large that
+    M~ or a cutoff is not finite raise :class:`NotSemiHurwitzError`.
     """
     _check_assembly_inputs(lap, k_P, k_I)
     L = lap.matrix
@@ -318,24 +308,26 @@ def spectral_report(part: Partition, data: LiftedData, lap: Laplacian,
         raise ValueError(f"partition has {part.p} agents, Laplacian has {p}")
     Q = range_basis(data.X)
     r = Q.shape[1]
-    gram = np.zeros((p * r, p * r))
-    for i, (Xi, _) in enumerate(part.blocks(data)):
-        Xi_t = Q.T @ Xi
-        gram[i * r:(i + 1) * r, i * r:(i + 1) * r] = Xi_t @ Xi_t.T
+    G = np.array([Xi_t @ Xi_t.T for Xi_t in (Q.T @ Xi for Xi, _ in part.blocks(data))])
     mu, U = np.linalg.eigh(L)
     mu[0] = 0.0  # the single zero eigenvalue of a connected graph, made exact
-    root = (U * np.sqrt(mu)) @ U.T
+    pr = p * r
+    core = np.zeros((2 * pr - r, 2 * pr - r))  # mode 0's integral coordinates left out
     with np.errstate(over="ignore", invalid="ignore"):  # huge gains: the cutoffs reject them
-        tilde_V, plain_V = _restricted_pair(gram, L, root, k_P, k_I)
-        tilde_perp, plain_perp = _restricted_pair(np.zeros((p, p)), L, root, k_P, k_I)
-        tol_t, tol_M = (ZERO_TOL_FACTOR * float(np.sqrt(np.linalg.norm(V, "fro") ** 2
-                                                        + (n - r) * np.linalg.norm(W, "fro") ** 2))
-                        for V, W in ((tilde_V, tilde_perp), (plain_V, plain_perp)))
+        top = core[:pr, :pr]
+        top -= np.einsum("ia,ib,ixy->axby", U, U, G).reshape(pr, pr)
+        top[np.diag_indices(pr)] -= np.repeat(k_P * mu, r)
+        coupling = np.diag(np.repeat(np.sqrt(k_I * mu[1:]), r))  # modes 1..p-1
+        core[r:pr, pr:], core[pr:, r:pr] = coupling, -coupling
+        t2, s1, s2, kPmu = np.linalg.norm(top) ** 2, mu.sum(), mu @ mu, k_P * mu
+        tol_t, tol_M = (ZERO_TOL_FACTOR * float(np.sqrt(sq)) for sq in (
+            t2 + 2 * k_I * r * s1 + (n - r) * (kPmu @ kPmu + 2 * k_I * s1),
+            t2 + r * s2 + k_I * k_I * p * r + (n - r) * (kPmu @ kPmu + s2 + k_I * k_I * p)))
     if not np.isfinite([tol_t, tol_M]).all():
         raise NotSemiHurwitzError(
             f"gains k_P={k_P:g}, k_I={k_I:g} overflow M~ or its zero cutoff")
 
-    vals = np.concatenate([eigenvalues(tilde_V, zero_tol=tol_t).eigenvalues,
+    vals = np.concatenate([eigenvalues(core, zero_tol=tol_t).eigenvalues, np.zeros(r),
                            np.repeat(_quadratic_roots(mu, k_P, k_I), n - r)])
     spec_t = Spectrum(vals, tol_t)
     return SpectralReport(
@@ -401,7 +393,7 @@ class _Reduced:
         Z <- (P kron I) Z - blkdiag(alpha G_i) Z_W + alpha [C_1; ...; C_p; 0]
 
     with P = I + alpha [[-k_P L, -k_I I], [L, 0]] (the transpose of M's
-    block on the complement of V, see ``_restricted_pair``), X~ = B^T X,
+    block [[-k_P L, L], [-k_I I, 0]] on the complement of V), X~ = B^T X,
     Y^ = H^T Y, G_i = X~_i X~_i^T and C_i = X~_i Y^_i^T, all precomputed;
     Z_W is the first p rows' b*d columns, the only part a Gram touches.
     """

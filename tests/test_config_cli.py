@@ -263,12 +263,17 @@ class TestExperimentCommand:
         ({"dictionary": "radial:2:nan"}, "dictionary"),
         ({"dictionary": "radial:3:1e200"}, "dictionary"),  # 2 * width**2 overflows
         ({"dictionary": "radial:3:1e-200"}, "dictionary"),  # 2 * width**2 underflows to 0
+        ({"t_max": 0}, "t_max"),  # the SolverGains rules, named by their config path
+        ({"stop_tol": -1.0}, "stop_tol"),
+        ({"gains": {"theta": 1.5}}, "gains.theta"),
+        ({"gains": {"alpha": -1.0}}, "gains.alpha"),
+        ({"gains": {"k_I": 0.0}}, "gains.k_I"),
     ])
     def test_malformed_leaf_exit_2(self, tmp_path, capsys, cfg, where):
         path = write_config(tmp_path, cfg)
         assert cli.main(["experiment", "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert where in err and "Traceback" not in err
+        assert err.startswith(f"config error: {where}") and "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("cfg, where", [

@@ -13,8 +13,7 @@ from dkoopman.consensus import (DIVERGENCE_GUARD, AgentState, NotSemiHurwitzErro
                                 initial_states, iterate_rounds, kkt_residual,
                                 manual_gains, partition_data, resolve_alpha, run,
                                 semi_hurwitz_check, spectral_report, step,
-                                tail_contraction, _quadratic_roots, _Reduced,
-                                _restricted_pair)
+                                tail_contraction, _quadratic_roots, _Reduced)
 from dkoopman.edmd import LiftedData, centralized_solve
 from dkoopman.graphs import (DisconnectedGraphError, build_graph, laplacian,
                              preset_graph)
@@ -551,6 +550,7 @@ class TestStructuralSpectrum:
     @example((4, 3, [3, 2, 2, 1]), 3, 5.0, 2.0, 1)  # n <= N, full row rank
     @example((3, 5, [2, 2, 2]), 0, 1.0, 1.0, 2)     # X = 0: the V-part is empty
     @example((2, 1, [1, 1]), 0, 2.0, 2.0, 0)        # mu = 2, k_P^2 mu = 4 k_I: a double root
+    @example((1, 4, [3]), 2, 2.0, 1.0, 3)           # p = 1: the deflated core is -G alone
     def test_matches_dense_M_tilde(self, shape, r, k_P, k_I, seed):
         p, n, widths = shape
         data, part, graph, r = _structural_case(p, n, widths, r, seed)
@@ -582,20 +582,28 @@ class TestStructuralSpectrum:
             assert np.allclose(big * small, k_I * mu, rtol=1e-14, atol=0.0)
             assert np.allclose(big + small, -k_P * mu, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("snapshots", [8, 2])
-    def test_dense_count_on_scenario_instances(self, snapshots):
+    # the ring's ids are its bare snapshot counts, kept stable for test selection
+    @pytest.mark.parametrize("preset, agents, snapshots", [
+        ("ring", 3, 8), ("ring", 3, 2), ("path", 4, 6), ("path", 4, 2), ("star", 4, 6),
+        ("star", 4, 2), ("complete", 4, 6), ("complete", 4, 2),
+    ], ids=["8", "2", "path-6", "path-2", "star-6", "star-2", "complete-6", "complete-2"])
+    def test_dense_count_on_scenario_instances(self, preset, agents, snapshots):
         # the desk instance (n = 16 = r < N = 24) and its rank-deficient
-        # variant (r = N = 6 < n = 16)
-        scn = GridScenario(grid_side=4, num_agents=3, snapshots_per_agent=snapshots,
+        # variant (r = N = 6 < n = 16); then 4 agents on graphs with vertices
+        # of degree 1 and 3 and, on the complete graph, the triple eigenvalue
+        # mu = 4, with N = 24 and N = 8 columns
+        scn = GridScenario(grid_side=4, num_agents=agents, snapshots_per_agent=snapshots,
                            blob_count=6, drift=(1.0, 0.0), saturation_gain=1.0,
                            seed=5, burn_in=0)
-        inst = build_instance(scn, "ring")
+        inst = build_instance(scn, preset)
         lap = laplacian(inst.graph)
         rep = spectral_report(inst.partition, inst.data, lap, 5.0, 2.0)
         dense = eigenvalues(assemble_M_tilde(inst.partition, inst.data, lap, 5.0, 2.0))
         n = inst.data.feature_dim
         assert rep.rank == min(n, scn.num_samples)
         assert rep.n_zero == dense.n_zero == 2 * n - rep.rank
+        # the zero mode and the complement give their zeros exactly
+        assert np.sum(rep.spectrum_M_tilde.eigenvalues == 0) == 2 * n - rep.rank
         assert rep.alpha_max == pytest.approx(compute_alpha_max(dense), rel=1e-10)
 
 
@@ -955,13 +963,14 @@ class TestChunkedRun:
         assert abs(tail_contraction(trace.mean_history) - expected) <= 1e-10 * expected
 
     def test_round_operator_is_M_perp_transposed(self):
-        # P = I + alpha M_perp^T, M's block on the complement of range(X)
+        # P = I + alpha M_perp^T, with M_perp = [[-k_P L, L], [-k_I I, 0]],
+        # M's block on the complement of range(X)
         data, part, graph, _ = _structural_case(4, 5, [1, 1, 2, 1], 2, 33)
         L = laplacian(graph).matrix
         red = _Reduced(np.zeros((4, 5, 5)), np.zeros((4, 5, 5)), graph, part, data,
                        3.0, 1.5, 0.02)
-        _, plain_perp = _restricted_pair(np.zeros((4, 4)), L, np.zeros((4, 4)), 3.0, 1.5)
-        assert np.array_equal(red.P, np.eye(8) + 0.02 * plain_perp.T)
+        M_perp = np.block([[-3.0 * L, L], [-1.5 * np.eye(4), np.zeros((4, 4))]])
+        assert np.array_equal(red.P, np.eye(8) + 0.02 * M_perp.T)
 
 
 _SERIES = ("consensus_error", "objective_mean", "fit_metric", "kkt_residual",
