@@ -21,15 +21,20 @@ Runs, each into its own directory under one temporary directory:
 * ``experiment`` on desk with 4 agents of 6 snapshots on the complete graph
   (Laplacian eigenvalues 0, 4, 4, 4: a repeated eigenvalue, and degree-3
   vertices);
+* ``experiment`` on desk with drift (0.5, 0.25), diffusion 0.1, the star
+  graph, the rollout from the first training frame and ``t_max`` 300 (all
+  four bilinear advection terms, the diffusion step, and the star preset);
 * ``solve-central`` on the desk seed-5 ``X.csv`` and ``Y.csv``, written into
   the run's own directory, so they are digested too.
 
 Prints one line per output file, ``<sha256>  <run>/<file>``, in the run
 order above and by file name within a run.  BLAS is pinned to one thread
-before numpy loads, so the digests do not depend on the thread count.  The package is imported from
-this checkout's ``src``, and nothing is written inside the checkout.  To
-compare two revisions, run the script in each checkout and diff the output:
+before numpy loads, so the digests do not depend on the thread count.  The
+package and the configs are read from CHECKOUT (default: the checkout that
+holds this script), and nothing is written inside it.  To compare two
+revisions, run this one script against each checkout and diff the output:
 
+    python3 scripts/output_digests.py ../parent > before.txt
     python3 scripts/output_digests.py > after.txt
 """
 
@@ -40,13 +45,17 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 sys.dont_write_bytecode = True
 
+import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-ROOT = Path(__file__).resolve().parents[1]
+_parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+_parser.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).parents[1],
+                     help="checkout whose src and configs are run (default: this one)")
+ROOT = _parser.parse_args().checkout.resolve()
 sys.path.insert(0, str(ROOT / "src"))
 
 from dkoopman import dataio  # noqa: E402
@@ -60,6 +69,9 @@ SWEEP_BENCH = {"stop_tol": 0.0, "t_max": 8000}
 RADIAL_DESK = {"scale": "desk", "dictionary": "radial:20:0.5", "t_max": 300}
 COMPLETE4_DESK = {"scale": "desk", "scenario": {"num_agents": 4, "snapshots_per_agent": 6},
                   "graph": {"preset": "complete"}}
+DRIFT_DIFFUSE_DESK = {"scale": "desk", "scenario": {"drift": [0.5, 0.25], "diffusion": 0.1},
+                      "graph": {"preset": "star"}, "rollout": {"start": "first_train"},
+                      "t_max": 300}
 
 
 def runs(tmp: Path) -> list[tuple[str, list[str]]]:
@@ -78,6 +90,8 @@ def runs(tmp: Path) -> list[tuple[str, list[str]]]:
     radial_cfg.write_text(json.dumps(RADIAL_DESK), encoding="utf-8")
     complete4_cfg = tmp / "desk_complete4.json"
     complete4_cfg.write_text(json.dumps(COMPLETE4_DESK), encoding="utf-8")
+    drift_cfg = tmp / "desk_drift_diffuse.json"
+    drift_cfg.write_text(json.dumps(DRIFT_DIFFUSE_DESK), encoding="utf-8")
     central = tmp / "runs" / "solve-central-desk-seed5"
     cfg = load_config(CONFIGS / "desk.json", seed=5)
     data = build_instance(cfg.scenario, cfg.graph.preset, cfg.dictionary).data
@@ -101,6 +115,7 @@ def runs(tmp: Path) -> list[tuple[str, list[str]]]:
             ("desk-edge-file", ["experiment", "--config", str(edge_cfg)]),
             ("desk-radial", ["experiment", "--config", str(radial_cfg)]),
             ("desk-complete4", ["experiment", "--config", str(complete4_cfg)]),
+            ("desk-drift-diffuse", ["experiment", "--config", str(drift_cfg)]),
             (central.name, ["solve-central", str(central / "X.csv"), str(central / "Y.csv")])]
 
 

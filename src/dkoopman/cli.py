@@ -22,7 +22,7 @@ import numpy as np
 from . import dataio
 from .config import ConfigError, RunConfig, from_dict, load_config, to_dict
 from .consensus import (NotSemiHurwitzError, initial_states, iterate_rounds, manual_gains,
-                        resolve_alpha, run, spectral_report, tail_contraction)
+                        run, spectral_report, tail_contraction)
 from .edmd import LiftedData, centralized_solve
 from .graphs import DisconnectedGraphError, Graph, GraphError, laplacian, parse_graph_text
 from .scenario import build_instance, make_experiment, simulate_frames
@@ -43,10 +43,18 @@ def _spectrum_pairs(spectrum) -> list[list[float]]:
     return np.column_stack((values.real, values.imag)).tolist()
 
 
-def _zero_counts(report, n: int) -> dict:
-    """Numeric zero count next to its structural value 2n - r (connected graph)."""
-    return {"rank": report.rank, "n_zero": report.n_zero,
-            "n_zero_structural": 2 * n - report.rank}
+def _spectral_summary(report) -> dict:
+    """The step-size analysis that report.json's spectral block and sweep.json share."""
+    return {"alpha_max": report.alpha_max, "rank": report.rank, "n_zero": report.n_zero,
+            "n_zero_structural": report.n_zero_structural,
+            "semi_hurwitz": report.semi_hurwitz}
+
+
+def _divergence(iterations: int, alpha: float, alpha_max: float) -> int:
+    """Report a diverged run on stderr; the exit code is 4."""
+    print(f"divergence flag raised after {iterations} iterations "
+          f"(alpha={alpha:g}, alpha_max={alpha_max:g})", file=sys.stderr)
+    return 4
 
 
 def cmd_experiment(cfg: RunConfig) -> int:
@@ -65,9 +73,7 @@ def cmd_experiment(cfg: RunConfig) -> int:
     dataio.write_matrix_csv(out / "rollout_error.csv", rep.rollout_error)
 
     spectral = {
-        "alpha_max": rep.spectral.alpha_max,
-        **_zero_counts(rep.spectral, rep.instance.data.feature_dim),
-        "semi_hurwitz": rep.spectral.semi_hurwitz,
+        **_spectral_summary(rep.spectral),
         "zero_tol_M_tilde": rep.spectral.spectrum_M_tilde.zero_tol,
         "spectrum_M_tilde": _spectrum_pairs(rep.spectral.spectrum_M_tilde),
         "zero_tol_M": rep.spectral.spectrum_M.zero_tol,
@@ -86,9 +92,7 @@ def cmd_experiment(cfg: RunConfig) -> int:
         "spectral": spectral,
     })
     if rep.trace.diverged:
-        print(f"divergence flag raised after {rep.trace.iterations} iterations "
-              f"(alpha={rep.alpha:g}, alpha_max={rep.alpha_max:g})", file=sys.stderr)
-        return 4
+        return _divergence(rep.trace.iterations, rep.alpha, rep.alpha_max)
     print(f"experiment done: {rep.trace.iterations} iterations, "
           f"kkt_residual={rep.trace.kkt_residual[-1]:.3e}, outputs in {out}")
     return 0
@@ -99,15 +103,15 @@ def cmd_alpha_sweep(cfg: RunConfig) -> int:
     lap = laplacian(inst.graph)
     base = cfg.solver_gains()
     report = spectral_report(inst.partition, inst.data, lap, base.k_P, base.k_I)
-    n = inst.data.feature_dim
-    init = initial_states(inst.graph.p, n, cfg.init.mode, cfg.init.seed)  # run only reads it
+    init = initial_states(inst.graph.p, inst.data.feature_dim,
+                          cfg.init.mode, cfg.init.seed)  # run only reads it
 
     lines = ["theta,alpha,rho_max,converged,diverged,iterations,contraction"]
     for theta in cfg.sweep_thetas:
         alpha = theta * report.alpha_max
         _, trace = run(init, inst.graph, manual_gains(base, alpha),
                        inst.partition, inst.data, record_mean=True, series=False)
-        rho = report.rho_max(alpha) if alpha < report.alpha_max else None
+        rho = report.rho_max(alpha)
         contraction = (tail_contraction(trace.mean_history)
                        if trace.mean_history is not None and not trace.diverged
                        else float("nan"))
@@ -123,9 +127,7 @@ def cmd_alpha_sweep(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     dataio.atomic_write_text(out / "alpha_sweep.csv", "\n".join(lines) + "\n")
     dataio.write_json(out / "sweep.json", {
-        "alpha_max": report.alpha_max,
-        **_zero_counts(report, n),
-        "semi_hurwitz": report.semi_hurwitz,
+        **_spectral_summary(report),
         "thetas": list(cfg.sweep_thetas),
     })
     print(f"alpha sweep over {len(cfg.sweep_thetas)} step sizes written to {out}")
@@ -134,19 +136,29 @@ def cmd_alpha_sweep(cfg: RunConfig) -> int:
 
 def cmd_benchmark(cfg: RunConfig) -> int:
     inst = build_instance(cfg.scenario, _resolve_graph(cfg), cfg.dictionary)
-    lap = laplacian(inst.graph)
     base = cfg.solver_gains()
-    alpha = resolve_alpha(base, inst.partition, inst.data, lap)
+    report = spectral_report(inst.partition, inst.data, laplacian(inst.graph),
+                             base.k_P, base.k_I)
+    alpha = report.step_size(base)
     gains = manual_gains(base, alpha)
     reps = cfg.benchmark_repeats
     rounds = min(200, gains.t_max)
     init = initial_states(inst.graph.p, inst.data.feature_dim,
                           cfg.init.mode, cfg.init.seed)
 
+    # the full run first: a diverging step size would overflow the fixed rounds
+    total_ms = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        _, trace = run(init, inst.graph, gains, inst.partition, inst.data)
+        total_ms.append(1e3 * (time.perf_counter() - t0))
+        if trace.diverged:
+            return _divergence(trace.iterations, alpha, report.alpha_max)
+
     central_ms = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        centralized_solve(inst.data)
+        centralized_solve(inst.data, cfg.rank_tol)
         central_ms.append(1e3 * (time.perf_counter() - t0))
 
     iter_ms = []
@@ -155,20 +167,12 @@ def cmd_benchmark(cfg: RunConfig) -> int:
         iterate_rounds(init, inst.graph, gains, inst.partition, inst.data, rounds)
         iter_ms.append(1e3 * (time.perf_counter() - t0) / rounds)
 
-    total_ms = []
-    iterations = 0
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        _, trace = run(init, inst.graph, gains, inst.partition, inst.data)
-        total_ms.append(1e3 * (time.perf_counter() - t0))
-        iterations = trace.iterations
-
     out = Path(cfg.out_dir)
     dataio.write_json(out / "benchmark.json", {
         "centralized_solve_ms": float(np.median(central_ms)),
         "distributed_iteration_ms": float(np.median(iter_ms)),
         "distributed_total_ms": float(np.median(total_ms)),
-        "run_iterations": iterations,
+        "run_iterations": trace.iterations,
         "rounds_timed": rounds,
         "repeats": reps,
     })

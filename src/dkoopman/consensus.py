@@ -168,7 +168,8 @@ class SpectralReport:
     ``alpha_max``, ``n_zero`` and ``semi_hurwitz`` are evaluated on the
     spectrum of M~.  M and M~ are isospectral, so ``spectrum_M`` holds the
     same eigenvalues with M's own zero cutoff.  ``rank`` is the rank r of
-    the data X; a connected graph gives exactly 2n - r zero eigenvalues.
+    the data X; a connected graph gives exactly ``n_zero_structural`` =
+    2n - r zero eigenvalues, which the report holds as exact zeros.
     """
 
     spectrum_M_tilde: Spectrum
@@ -177,9 +178,18 @@ class SpectralReport:
     n_zero: int
     semi_hurwitz: bool
     rank: int
+    n_zero_structural: int
 
-    def rho_max(self, alpha: float) -> float:
-        """Contraction factor bound for a step size alpha in (0, alpha_max)."""
+    def step_size(self, gains: SolverGains) -> float:
+        """The explicit ``gains.alpha``, or ``gains.alpha_fraction * alpha_max``."""
+        if gains.alpha is not None:
+            return gains.alpha
+        return gains.alpha_fraction * self.alpha_max
+
+    def rho_max(self, alpha: float) -> float | None:
+        """Contraction factor bound for alpha in (0, alpha_max); None outside it."""
+        if not 0.0 < alpha < self.alpha_max:
+            return None
         return compute_rho_max(self.spectrum_M_tilde, alpha)
 
 
@@ -337,16 +347,16 @@ def spectral_report(part: Partition, data: LiftedData, lap: Laplacian,
         n_zero=spec_t.n_zero,
         semi_hurwitz=semi_hurwitz_check(spec_t),
         rank=r,
+        n_zero_structural=2 * n - r,
     )
 
 
 def resolve_alpha(gains: SolverGains, part: Partition, data: LiftedData,
                   lap: Laplacian) -> float:
     """Concrete step size: explicit alpha, or alpha_fraction * alpha_max."""
-    if gains.alpha is not None:
+    if gains.alpha is not None:  # no spectral report needed
         return gains.alpha
-    report = spectral_report(part, data, lap, gains.k_P, gains.k_I)
-    return gains.alpha_fraction * report.alpha_max
+    return spectral_report(part, data, lap, gains.k_P, gains.k_I).step_size(gains)
 
 
 def _check_states(states, part, data, graph):
@@ -492,7 +502,6 @@ class RunTrace:
     fit_metric: np.ndarray | None
     kkt_residual: np.ndarray | None
     integral_sum_norm: np.ndarray | None
-    alpha: float
     converged: bool
     diverged: bool
     iterations: int
@@ -640,7 +649,7 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
             buf[0] = buf[kc - 1 if diverged else kc]
 
     trace = RunTrace(*(np.concatenate(blocks, axis=1) if series else [None] * 5),
-                     alpha=alpha, converged=converged, diverged=diverged, iterations=t,
+                     converged=converged, diverged=diverged, iterations=t,
                      mean_history=mean_hist[:t] if record else None,
                      row_basis=red.B if red.Phi is None else None)
     return red.states(buf[0]), trace

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import (Partition, RunTrace, SolverGains, SpectralReport,
-                        StepSizeError, initial_states, manual_gains, partition_data,
-                        run, spectral_report)
+from .consensus import (Partition, RunTrace, SolverGains, SpectralReport, initial_states,
+                        manual_gains, partition_data, run, spectral_report)
 from .edmd import (Dictionary, KoopmanModel, LiftedData, SnapshotSequence,
                    centralized_solve, lift, parse_dictionary, rollout)
 from .graphs import (DisconnectedGraphError, Graph, GraphError, is_connected, laplacian,
@@ -101,12 +100,16 @@ def _advect(u: np.ndarray, vx: float, vy: float) -> np.ndarray:
     fx, fy = vx - ix, vy - iy
 
     # a term of weight 0 (an integer drift component) adds exact zeros to
-    # the finite values, so skipping it leaves the sum bit-identical
+    # the finite values, so skipping it leaves the sum bit-identical; so do
+    # skipping a roll by a whole period and a multiply by 1.0 (1.0 * x == x,
+    # -0.0 included), which at zero drift return the frame itself
     out = None
     for w, a, b in (((1 - fx) * (1 - fy), ix, iy), (fx * (1 - fy), ix + 1, iy),
                     ((1 - fx) * fy, ix, iy + 1), (fx * fy, ix + 1, iy + 1)):
         if w != 0.0:
-            term = w * np.roll(u, (a, b), axis=(0, 1))
+            term = u if a % u.shape[0] == b % u.shape[1] == 0 else np.roll(u, (a, b), (0, 1))
+            if w != 1.0:
+                term = w * term
             out = term if out is None else out + term
     return out
 
@@ -264,14 +267,7 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
                           extra_frames=rollout_steps)
     lap = laplacian(inst.graph)
     spectral = spectral_report(inst.partition, inst.data, lap, gains.k_P, gains.k_I)
-    if gains.alpha is not None:
-        alpha = gains.alpha
-    else:
-        alpha = gains.alpha_fraction * spectral.alpha_max
-    try:
-        rho_max = spectral.rho_max(alpha)
-    except StepSizeError:
-        rho_max = None
+    alpha = spectral.step_size(gains)
 
     init = initial_states(inst.graph.p, inst.data.feature_dim, init_mode, init_seed)
     states, trace = run(init, inst.graph, manual_gains(gains, alpha),
@@ -303,6 +299,6 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
         spectral=spectral,
         alpha=alpha,
         alpha_max=spectral.alpha_max,
-        rho_max=rho_max,
+        rho_max=spectral.rho_max(alpha),
         instance=inst,
     )

@@ -307,7 +307,7 @@ class TestExperimentCommand:
         assert "scenario" in err and len(err.splitlines()) == 1 and "Traceback" not in err
         assert os.listdir(tmp_path) == ["config.json"]
 
-    @pytest.mark.parametrize("command", ["experiment", "alpha-sweep"])
+    @pytest.mark.parametrize("command", ["experiment", "alpha-sweep", "benchmark"])
     @pytest.mark.parametrize("k_P", [1e160, 1e308])
     def test_overflowing_gains_exit_2(self, tmp_path, capsys, command, k_P):
         # 1e160 overflows the zero cutoff (0 * inf when r = n), 1e308 M~ itself
@@ -317,15 +317,22 @@ class TestExperimentCommand:
         assert "k_P=" in err and len(err.splitlines()) == 1 and "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
 
-    @pytest.mark.parametrize("alpha", [1e200, 1e308])
-    def test_divergent_step_exit_4(self, tmp_path, capsys, alpha):
+    # the experiment cases' ids are their bare step sizes, kept stable for test selection
+    @pytest.mark.parametrize("command, alpha", [
+        pytest.param(command, alpha, id=f"{alpha}{suffix}")
+        for command, suffix in (("experiment", ""), ("benchmark", "-benchmark"))
+        for alpha in (1e200, 1e308)])
+    def test_divergent_step_exit_4(self, tmp_path, capsys, command, alpha):
         # at 1e308 the round that trips the guard overflows; the run returns
         # the finite states that entered it
         out = tmp_path / "run"
         cfg = small_config(gains={"alpha": alpha}, out_dir=str(out))
-        assert cli.main(["experiment", "--config", write_config(tmp_path, cfg)]) == 4
+        assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 4
         err = capsys.readouterr().err
         assert "divergence flag raised" in err and "Traceback" not in err
+        if command == "benchmark":  # it times nothing past the diverged run
+            assert len(err.splitlines()) == 1 and not out.exists()
+            return
         report = dataio.read_json(out / "report.json")
         assert report["diverged"] is True and report["converged"] is False
 
@@ -653,7 +660,7 @@ class TestDataIO:
 
         from dkoopman.consensus import RunTrace
         cols = np.array(special[:10]).reshape(5, 2)
-        trace = RunTrace(*cols, alpha=0.1, converged=False, diverged=False, iterations=2)
+        trace = RunTrace(*cols, converged=False, diverged=False, iterations=2)
         dataio.write_trace_csv(tmp_path / "t.csv", trace)
         rows = [[str(t + 1)] + [f"{c[t]:.17g}" for c in cols] for t in range(2)]
         assert (tmp_path / "t.csv").read_text() == "\n".join(

@@ -470,6 +470,23 @@ class TestSpectralReport:
         gains = SolverGains(k_P=1.0, k_I=1.0, alpha_fraction=0.25)
         assert resolve_alpha(gains, part, data, lap) == pytest.approx(0.25, abs=1e-9)
 
+    def test_step_size_explicit_or_fraction_of_alpha_max(self):
+        inst = build_instance(GridScenario(grid_side=4, seed=5, burn_in=0))
+        rep = spectral_report(inst.partition, inst.data, laplacian(inst.graph), 5.0, 2.0)
+        assert rep.step_size(SolverGains(k_P=5.0, k_I=2.0, alpha=3.0)) == 3.0
+        for theta in (0.1, 0.5, 0.9):
+            gains = SolverGains(k_P=5.0, k_I=2.0, alpha_fraction=theta)
+            assert rep.step_size(gains) == theta * rep.alpha_max
+
+    def test_rho_max_only_inside_the_stable_range(self):
+        inst = build_instance(GridScenario(grid_side=4, seed=5, burn_in=0))
+        rep = spectral_report(inst.partition, inst.data, laplacian(inst.graph), 5.0, 2.0)
+        a_max = rep.alpha_max
+        for alpha in (a_max, np.nextafter(a_max, np.inf), 2.0 * a_max, 0.0, -0.0, -0.1):
+            assert rep.rho_max(alpha) is None, alpha
+        for alpha in (5e-324, 0.5 * a_max, np.nextafter(a_max, 0.0)):
+            assert rep.rho_max(alpha) == compute_rho_max(rep.spectrum_M_tilde, alpha)
+
     def test_observed_contraction_matches_worked_rho(self):
         # theta=0.5 on the worked instance: alpha=0.5, rho_max=0.5; the
         # measured tail contraction must not exceed 0.52
@@ -604,6 +621,7 @@ class TestStructuralSpectrum:
         assert rep.n_zero == dense.n_zero == 2 * n - rep.rank
         # the zero mode and the complement give their zeros exactly
         assert np.sum(rep.spectrum_M_tilde.eigenvalues == 0) == 2 * n - rep.rank
+        assert rep.n_zero_structural == 2 * n - rep.rank
         assert rep.alpha_max == pytest.approx(compute_alpha_max(dense), rel=1e-10)
 
 

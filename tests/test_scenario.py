@@ -95,6 +95,22 @@ class TestGenerate:
                 + (1 - fx) * fy * sh(ix, iy + 1) + fx * fy * sh(ix + 1, iy + 1))
         assert _advect(u, *drift).tobytes() == full.tobytes()
 
+    @pytest.mark.parametrize("drift", [(0.0, 0.0), (5.0, -10.0), (5.4, 0.0), (-0.6, 15.0)])
+    def test_advect_skips_whole_period_rolls_and_unit_weights(self, drift):
+        # the frame stands in for a roll by a multiple of the side and a
+        # weight of 1.0 leaves it unmultiplied; the bits are those of the
+        # weighted rolls, -0.0 included
+        u = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 5))
+        u[0, 0] = u[2, 3] = -0.0
+        ix, iy = int(np.floor(drift[0])), int(np.floor(drift[1]))
+        fx, fy = drift[0] - ix, drift[1] - iy
+        terms = [w * np.roll(u, (a, b), axis=(0, 1)) for w, a, b in (
+            ((1 - fx) * (1 - fy), ix, iy), (fx * (1 - fy), ix + 1, iy),
+            ((1 - fx) * fy, ix, iy + 1), (fx * fy, ix + 1, iy + 1)) if w != 0.0]
+        assert _advect(u, *drift).tobytes() == sum(terms[1:], terms[0]).tobytes()
+        if drift[0] % 5 == drift[1] % 5 == 0.0:
+            assert _advect(u, *drift) is u
+
 
 class TestNonlinearity:
     def test_witness_on_paper_defaults(self):
