@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """sha256 of every output file of a fixed set of CLI runs.
 
-Runs, each into its own directory under one temporary directory:
+Runs, each into its own directory under one temporary directory (or under
+``--keep DIR``, where the outputs are left for comparing files):
 
 * ``experiment`` on desk, seeds 5 and 3;
 * ``experiment`` on paper, seeds 7 and 3;
@@ -36,6 +37,10 @@ revisions, run this one script against each checkout and diff the output:
 
     python3 scripts/output_digests.py ../parent > before.txt
     python3 scripts/output_digests.py > after.txt
+
+With ``--keep DIR`` each run's outputs stay in ``DIR/<run>/`` (DIR must be
+empty or absent), so the files behind two differing listings can be read
+side by side.
 """
 
 import os
@@ -55,7 +60,12 @@ from pathlib import Path  # noqa: E402
 _parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
 _parser.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).parents[1],
                      help="checkout whose src and configs are run (default: this one)")
-ROOT = _parser.parse_args().checkout.resolve()
+_parser.add_argument("--keep", type=Path, metavar="DIR",
+                     help="write the runs under DIR/<run>/ and leave them there")
+_args = _parser.parse_args()
+if _args.keep is not None and _args.keep.exists() and any(_args.keep.iterdir()):
+    _parser.error(f"--keep directory {_args.keep} is not empty")
+ROOT = _args.checkout.resolve()
 sys.path.insert(0, str(ROOT / "src"))
 
 from dkoopman import dataio  # noqa: E402
@@ -74,8 +84,10 @@ DRIFT_DIFFUSE_DESK = {"scale": "desk", "scenario": {"drift": [0.5, 0.25], "diffu
                       "t_max": 300}
 
 
-def runs(tmp: Path) -> list[tuple[str, list[str]]]:
-    """(run name, CLI arguments without ``--out``) in the order listed above."""
+def runs(tmp: Path, out_root: Path) -> list[tuple[str, list[str]]]:
+    """(run name, CLI arguments without ``--out``) in the order listed above;
+    the configs go in ``tmp``, the ``solve-central`` inputs in its run
+    directory under ``out_root``."""
     random_cfg = tmp / "paper_random.json"
     random_cfg.write_text(json.dumps(RANDOM_PAPER), encoding="utf-8")
     bench_cfg = tmp / "sweep_bench.json"
@@ -92,7 +104,7 @@ def runs(tmp: Path) -> list[tuple[str, list[str]]]:
     complete4_cfg.write_text(json.dumps(COMPLETE4_DESK), encoding="utf-8")
     drift_cfg = tmp / "desk_drift_diffuse.json"
     drift_cfg.write_text(json.dumps(DRIFT_DIFFUSE_DESK), encoding="utf-8")
-    central = tmp / "runs" / "solve-central-desk-seed5"
+    central = out_root / "solve-central-desk-seed5"
     cfg = load_config(CONFIGS / "desk.json", seed=5)
     data = build_instance(cfg.scenario, cfg.graph.preset, cfg.dictionary).data
     dataio.write_matrix_csv(central / "X.csv", data.X)
@@ -119,12 +131,13 @@ def runs(tmp: Path) -> list[tuple[str, list[str]]]:
             (central.name, ["solve-central", str(central / "X.csv"), str(central / "Y.csv")])]
 
 
-def main_digests() -> int:
+def main_digests(keep: Path | None) -> int:
     with tempfile.TemporaryDirectory(prefix="output_digests.") as tmp:
         tmp = Path(tmp)
+        out_root = tmp / "runs" if keep is None else keep.resolve()
         lines = []
-        for run, argv in runs(tmp):
-            out = tmp / "runs" / run
+        for run, argv in runs(tmp, out_root):
+            out = out_root / run
             with contextlib.redirect_stdout(sys.stderr):
                 rc = main(argv + ["--out", str(out)])
             if rc != 0:
@@ -137,4 +150,4 @@ def main_digests() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main_digests())
+    sys.exit(main_digests(_args.keep))

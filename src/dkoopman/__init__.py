@@ -9,8 +9,8 @@ from .edmd import (Dictionary, KoopmanModel, LiftedData, SnapshotSequence,
                    centralized_solve, fit_metric, lift, monomial_dictionary,
                    objective, parse_dictionary, radial_dictionary, rollout,
                    vectorization_dictionary)
-from .graphs import (Graph, Laplacian, build_graph, is_connected, laplacian,
-                     parse_graph_text, preset_graph)
+from .graphs import (Graph, build_graph, is_connected, laplacian, parse_graph_text,
+                     preset_graph)
 from .linalg import Spectrum, eigenvalues, pseudoinverse, spectrum_distance
 from .scenario import (ExperimentReport, GridScenario, advance, build_instance,
                        make_experiment, sequential_widths, simulate_frames)

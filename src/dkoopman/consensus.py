@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .edmd import LiftedData
-from .graphs import DisconnectedGraphError, Graph, Laplacian, is_connected, laplacian
+from .graphs import DisconnectedGraphError, Graph, is_connected, laplacian
 from .linalg import (ZERO_TOL_FACTOR, Spectrum, as_matrix, eigenvalues, psd_sqrt,
                      range_basis)
 
@@ -203,27 +203,27 @@ def assemble_block_X(part: Partition, data: LiftedData) -> np.ndarray:
     return out
 
 
-def _check_assembly_inputs(lap: Laplacian, k_P: float, k_I: float):
+def _check_assembly_inputs(L: np.ndarray, k_P: float, k_I: float):
     if not (k_P > 0 and k_I > 0):
         raise ValueError("gains k_P and k_I must be positive")
-    if not is_connected(lap):
+    if not is_connected(L):
         raise DisconnectedGraphError("communication graph must be connected")
 
 
-def assemble_M(part: Partition, data: LiftedData, lap: Laplacian,
+def assemble_M(part: Partition, data: LiftedData, L: np.ndarray,
                k_P: float, k_I: float) -> np.ndarray:
     """Convergence matrix [[-bX bX^T - k_P bL, bL], [-k_I I, 0]], size 2np x 2np."""
-    _check_assembly_inputs(lap, k_P, k_I)
+    _check_assembly_inputs(L, k_P, k_I)
     n = data.feature_dim
     bX = assemble_block_X(part, data)
-    bL = np.kron(lap.matrix, np.eye(n))
+    bL = np.kron(L, np.eye(n))
     d = n * part.p
     top = np.hstack([-bX @ bX.T - k_P * bL, bL])
     bottom = np.hstack([-k_I * np.eye(d), np.zeros((d, d))])
     return np.vstack([top, bottom])
 
 
-def assemble_M_tilde(part: Partition, data: LiftedData, lap: Laplacian,
+def assemble_M_tilde(part: Partition, data: LiftedData, L: np.ndarray,
                      k_P: float, k_I: float) -> np.ndarray:
     """Isospectral variant with +/- sqrt(k_I) bL^{1/2} off-diagonal blocks.
 
@@ -232,10 +232,10 @@ def assemble_M_tilde(part: Partition, data: LiftedData, lap: Laplacian,
     near-zero eigenvalues orders of magnitude below the classification
     threshold even when X is rank deficient.
     """
-    _check_assembly_inputs(lap, k_P, k_I)
+    _check_assembly_inputs(L, k_P, k_I)
     n = data.feature_dim
     bX = assemble_block_X(part, data)
-    bL = np.kron(lap.matrix, np.eye(n))
+    bL = np.kron(L, np.eye(n))
     root = np.sqrt(k_I) * psd_sqrt(bL)
     d = n * part.p
     top = np.hstack([-bX @ bX.T - k_P * bL, root])
@@ -295,7 +295,7 @@ def _quadratic_roots(mu: np.ndarray, k_P: float, k_I: float) -> np.ndarray:
     return np.concatenate([big, small])
 
 
-def spectral_report(part: Partition, data: LiftedData, lap: Laplacian,
+def spectral_report(part: Partition, data: LiftedData, L: np.ndarray,
                     k_P: float, k_I: float) -> SpectralReport:
     """Spectrum of M~ per Laplacian eigenmode, and the step-size analysis.
 
@@ -311,8 +311,7 @@ def spectral_report(part: Partition, data: LiftedData, lap: Laplacian,
     under the cutoff, the 2n - r exact zeros among them.  Gains so large that
     M~ or a cutoff is not finite raise :class:`NotSemiHurwitzError`.
     """
-    _check_assembly_inputs(lap, k_P, k_I)
-    L = lap.matrix
+    _check_assembly_inputs(L, k_P, k_I)
     p, n = L.shape[0], data.feature_dim
     if part.p != p:
         raise ValueError(f"partition has {part.p} agents, Laplacian has {p}")
@@ -352,11 +351,11 @@ def spectral_report(part: Partition, data: LiftedData, lap: Laplacian,
 
 
 def resolve_alpha(gains: SolverGains, part: Partition, data: LiftedData,
-                  lap: Laplacian) -> float:
+                  L: np.ndarray) -> float:
     """Concrete step size: explicit alpha, or alpha_fraction * alpha_max."""
     if gains.alpha is not None:  # no spectral report needed
         return gains.alpha
-    return spectral_report(part, data, lap, gains.k_P, gains.k_I).step_size(gains)
+    return spectral_report(part, data, L, gains.k_P, gains.k_I).step_size(gains)
 
 
 def _check_states(states, part, data, graph):
@@ -376,6 +375,31 @@ def _check_states(states, part, data, graph):
 _CHUNK_BYTES = 2 * 2**20
 _CHUNK_ROUNDS = 32
 _HISTORY_BYTE_CAP = 2 * 10**8  # the largest mean history ``run`` records
+
+
+def _integral_step(alpha: float, L: np.ndarray) -> float:
+    """The step alpha_I of P's integral block alpha_I L: alpha, unless some
+    finite alpha * degree rounds.
+
+    Then alpha_I is alpha with its lowest k = bit_length(max degree)
+    mantissa bits cleared, so every alpha_I * degree is exact and each
+    column of alpha_I L sums to exactly zero, as the update law's conserved
+    sum_i S_i needs.  Degrees 1, 2 and 4 never round; an alpha * degree that
+    overflows is left to the divergence guard.
+    """
+    alpha, degrees = float(alpha), [int(deg) for deg in np.diag(L)]
+
+    def rounds(d: int) -> bool:
+        prod = alpha * d
+        if not np.isfinite(prod):
+            return False
+        (num, den), (pnum, pden) = alpha.as_integer_ratio(), prod.as_integer_ratio()
+        return pnum * den != num * d * pden
+
+    if not any(rounds(d) for d in degrees):
+        return alpha
+    bits = np.float64(alpha).view(np.int64) & ~((1 << max(degrees).bit_length()) - 1)
+    return float(bits.view(np.float64))
 
 
 class _Reduced:
@@ -403,7 +427,8 @@ class _Reduced:
         Z <- (P kron I) Z - blkdiag(alpha G_i) Z_W + alpha [C_1; ...; C_p; 0]
 
     with P = I + alpha [[-k_P L, -k_I I], [L, 0]] (the transpose of M's
-    block [[-k_P L, L], [-k_I I, 0]] on the complement of V), X~ = B^T X,
+    block [[-k_P L, L], [-k_I I, 0]] on the complement of V), its lower-left
+    block taken as alpha_I L of :func:`_integral_step`, X~ = B^T X,
     Y^ = H^T Y, G_i = X~_i X~_i^T and C_i = X~_i Y^_i^T, all precomputed;
     Z_W is the first p rows' b*d columns, the only part a Gram touches.
     """
@@ -436,9 +461,10 @@ class _Reduced:
         blocks = [(B.T @ Xi, Yi if H is None else H.T @ Yi) for Xi, Yi in part.blocks(data)]
         self.G = alpha * np.stack([Xi @ Xi.T for Xi, _ in blocks])
         self.C = alpha * np.stack([Xi @ Yi.T for Xi, Yi in blocks])
-        L, eye = laplacian(graph).matrix, np.eye(p)
+        L, eye = laplacian(graph), np.eye(p)
         self.P = np.eye(2 * p) + alpha * np.block([[-k_P * L, -k_I * eye],
                                                    [L, np.zeros((p, p))]])
+        self.P[p:, :p] = _integral_step(alpha, L) * L
 
     def views(self, Z) -> tuple[np.ndarray, np.ndarray]:
         """Z itself and its W block as (p, b, d); Z must be C-contiguous, or

@@ -48,16 +48,16 @@ def build_graph(p: int, edges) -> Graph:
     return Graph(int(p), tuple(sorted(normalized)))
 
 
-def is_connected(graph: Graph | Laplacian) -> bool:
+def is_connected(graph: Graph | np.ndarray) -> bool:
     """Breadth-first reachability of every vertex from vertex 0.
 
-    A :class:`Laplacian` counts its nonzero off-diagonal entries as edges.
+    A Laplacian array counts its nonzero off-diagonal entries as edges.
     """
-    if isinstance(graph, Laplacian):
-        p = graph.matrix.shape[0]
-        edges = zip(*np.nonzero(np.triu(graph.matrix, 1)))
-    else:
+    if isinstance(graph, Graph):
         p, edges = graph.p, graph.edges
+    else:
+        p = graph.shape[0]
+        edges = zip(*np.nonzero(np.triu(graph, 1)))
     adjacency = [[] for _ in range(p)]
     for i, j in edges:
         adjacency[i].append(j)
@@ -73,15 +73,8 @@ def is_connected(graph: Graph | Laplacian) -> bool:
     return len(seen) == p
 
 
-@dataclass(frozen=True, eq=False)
-class Laplacian:
-    """p x p Laplacian matrix L of an undirected graph (read-only array)."""
-
-    matrix: np.ndarray
-
-
-def laplacian(graph: Graph) -> Laplacian:
-    """L = D - A with unit edge weights; rows sum to zero exactly."""
+def laplacian(graph: Graph) -> np.ndarray:
+    """L = D - A with unit edge weights, read-only; rows sum to zero exactly."""
     L = np.zeros((graph.p, graph.p))
     for i, j in graph.edges:
         L[i, j] = -1.0
@@ -89,7 +82,7 @@ def laplacian(graph: Graph) -> Laplacian:
         L[i, i] += 1.0
         L[j, j] += 1.0
     L.setflags(write=False)
-    return Laplacian(L)
+    return L
 
 
 PRESETS = ("ring", "path", "complete", "star")

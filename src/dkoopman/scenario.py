@@ -176,7 +176,6 @@ def sequential_widths(N: int, p: int) -> tuple[int, ...]:
 class Instance:
     """A fully assembled problem instance: data, partition, and topology."""
 
-    scenario: GridScenario
     frames: np.ndarray
     dictionary: Dictionary
     data: LiftedData
@@ -208,7 +207,7 @@ def build_instance(scn: GridScenario, graph_preset: str | Graph = "ring",
     dictionary = parse_dictionary(dictionary_spec, q=scn.feature_dim, seed=scn.seed)
     data = lift(seq, dictionary)
     part = partition_data(data, sequential_widths(N, scn.num_agents))
-    return Instance(scn, frames, dictionary, data, part, graph)
+    return Instance(frames, dictionary, data, part, graph)
 
 
 @dataclass(eq=False)
@@ -224,9 +223,16 @@ class ExperimentReport:
     rollout_error: np.ndarray
     spectral: SpectralReport
     alpha: float
-    alpha_max: float
-    rho_max: float | None
     instance: Instance
+
+    @property
+    def alpha_max(self) -> float:
+        return self.spectral.alpha_max
+
+    @property
+    def rho_max(self) -> float | None:
+        """The contraction bound at ``alpha``; None where it is not below alpha_max."""
+        return self.spectral.rho_max(self.alpha)
 
 
 def _operator_spectrum(K: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
@@ -298,7 +304,5 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
         rollout_error=rollout_error,
         spectral=spectral,
         alpha=alpha,
-        alpha_max=spectral.alpha_max,
-        rho_max=spectral.rho_max(alpha),
         instance=inst,
     )

@@ -537,7 +537,7 @@ def _mp_alpha_max(part, data, lap, k_P, k_I, zero_tol, dps=40):
     """
     with mpmath.workdps(dps):
         p, n = part.p, data.feature_dim
-        mu, U = mpmath.eigsy(mpmath.matrix(lap.matrix))
+        mu, U = mpmath.eigsy(mpmath.matrix(lap))
         root = U * mpmath.diag([mpmath.sqrt(max(m, 0)) for m in mu]) * U.T
         bX = mpmath.matrix(assemble_block_X(part, data))
         d = p * n
@@ -547,7 +547,7 @@ def _mp_alpha_max(part, data, lap, k_P, k_I, zero_tol, dps=40):
             for j in range(p):
                 for k in range(n):
                     a, b = i * n + k, j * n + k
-                    M[a, b] -= k_P * lap.matrix[i, j]
+                    M[a, b] -= k_P * lap[i, j]
                     M[a, d + b] = mpmath.sqrt(k_I) * root[i, j]
                     M[d + a, b] = -M[a, d + b]
         vals = mpmath.eig(M, left=False, right=False)
@@ -645,7 +645,7 @@ def _fit_metric(K, data):
 def dense_run(K, R, graph, gains, part, data, keep_states=False):
     """``run``'s loop and per-round diagnostics in full coordinates; with
     ``keep_states`` the series also hold each round's stacked K and R."""
-    L, blocks = laplacian(graph).matrix, part.blocks(data)
+    L, blocks = laplacian(graph), part.blocks(data)
     norm = np.linalg.norm
     series = {name: [] for name in ("consensus_error", "objective_mean", "fit_metric",
                                     "kkt_residual", "integral_sum_norm", "mean", "K", "R")}
@@ -786,22 +786,30 @@ class TestReducedKernel:
         K0, R0 = np.zeros((2, 4, 4)), rng.standard_normal((2, 4, 4))
         gains = SolverGains(k_P=2.0, k_I=1.5, alpha=0.05)
         out = step([AgentState(K0[i], R0[i]) for i in range(2)], graph, gains, part, data)
-        K, R = dense_round(K0, R0, laplacian(graph).matrix, part.blocks(data),
+        K, R = dense_round(K0, R0, laplacian(graph), part.blocks(data),
                            gains.k_P, gains.k_I, gains.alpha)
         K_red, R_red = _stacked(out)
         size = np.linalg.norm(K) + np.linalg.norm(R)
         assert np.linalg.norm(K_red - K) <= 1e-14 * size
         assert np.linalg.norm(R_red - R) <= 1e-14 * size
 
-    def test_desk_round_count_matches_dense(self):
-        # the criterion-1 instance: 8,109 rounds to stop_tol 1e-10 on the dense kernel
-        scn = GridScenario(grid_side=4, num_agents=3, snapshots_per_agent=8, blob_count=6,
-                           drift=(1.0, 0.0), saturation_gain=1.0, seed=5, burn_in=0)
-        inst = build_instance(scn, "ring")
+    @pytest.mark.parametrize("agents, snapshots, preset",
+                             [(3, 8, "ring"), (4, 6, "complete")], ids=["ring3", "complete4"])
+    def test_desk_round_count_matches_dense(self, agents, snapshots, preset):
+        # the criterion-1 instance: 8,109 rounds to stop_tol 1e-10 on the dense
+        # kernel; on the complete graph of 4 (11,272 rounds) fl(3 alpha) rounds,
+        # and the integral block's columns still sum to exactly zero
+        scn = GridScenario(grid_side=4, num_agents=agents, snapshots_per_agent=snapshots,
+                           blob_count=6, drift=(1.0, 0.0), saturation_gain=1.0, seed=5,
+                           burn_in=0)
+        inst = build_instance(scn, preset)
         rep = spectral_report(inst.partition, inst.data, laplacian(inst.graph), 5.0, 2.0)
         gains = SolverGains(k_P=5.0, k_I=2.0, alpha=0.5 * rep.alpha_max, t_max=20000,
                             stop_tol=1e-10)
-        init = initial_states(3, inst.data.feature_dim)
+        init = initial_states(agents, inst.data.feature_dim)
+        red = _Reduced([s.K for s in init], [s.R for s in init], inst.graph, inst.partition,
+                       inst.data, gains.k_P, gains.k_I, gains.alpha)
+        assert not red.P[agents:, :agents].sum(axis=0).any()
         _, trace = run(init, inst.graph, gains, inst.partition, inst.data)
         _, _, dense = dense_run(*_stacked(init), inst.graph, gains, inst.partition, inst.data)
         assert trace.converged
@@ -877,7 +885,7 @@ class TestChunkedRun:
         K, R = _stacked(init)
         guard = DIVERGENCE_GUARD * (1.0 + np.linalg.norm(data.Y) * np.linalg.norm(data.X)
                                     + np.linalg.norm(K, axis=(1, 2)).max())
-        L, blocks = laplacian(graph).matrix, inst.partition.blocks(data)
+        L, blocks = laplacian(graph), inst.partition.blocks(data)
         for t in range(1, gains.t_max + 1):
             K, R = dense_round(K, R, L, blocks, gains.k_P, gains.k_I, gains.alpha)
             if np.linalg.norm(K, axis=(1, 2)).max() > guard:
@@ -984,7 +992,7 @@ class TestChunkedRun:
         # P = I + alpha M_perp^T, with M_perp = [[-k_P L, L], [-k_I I, 0]],
         # M's block on the complement of range(X)
         data, part, graph, _ = _structural_case(4, 5, [1, 1, 2, 1], 2, 33)
-        L = laplacian(graph).matrix
+        L = laplacian(graph)
         red = _Reduced(np.zeros((4, 5, 5)), np.zeros((4, 5, 5)), graph, part, data,
                        3.0, 1.5, 0.02)
         M_perp = np.block([[-3.0 * L, L], [-1.5 * np.eye(4), np.zeros((4, 4))]])

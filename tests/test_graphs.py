@@ -23,7 +23,7 @@ class TestBuildGraph:
     def test_triangle(self):
         g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
         assert g.edges == ((0, 1), (0, 2), (1, 2))
-        L = laplacian(g).matrix
+        L = laplacian(g)
         assert np.flatnonzero(L[0] == -1.0).tolist() == [1, 2]
         assert L[1, 1] == 2.0
 
@@ -64,16 +64,16 @@ class TestConnectivity:
 
 class TestLaplacian:
     def test_path3(self):
-        L = laplacian(preset_graph("path", 3)).matrix
+        L = laplacian(preset_graph("path", 3))
         assert np.array_equal(L, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
     def test_triangle(self):
-        L = laplacian(preset_graph("ring", 3)).matrix
+        L = laplacian(preset_graph("ring", 3))
         assert np.array_equal(L, [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 
     def test_path5_fiedler_value(self):
         # path-graph spectrum: 2 - 2 cos(k pi / 5); second smallest at k = 1
-        L = laplacian(preset_graph("path", 5)).matrix
+        L = laplacian(preset_graph("path", 5))
         eigs = np.sort(eigenvalues(L).eigenvalues.real)
         assert eigs[1] == pytest.approx(2.0 - 2.0 * np.cos(np.pi / 5.0), abs=1e-9)
 
@@ -81,7 +81,7 @@ class TestLaplacian:
         rng = np.random.default_rng(7)
         for _ in range(50):
             g = random_graph(rng, int(rng.integers(1, 11)), connected=False)
-            L = laplacian(g).matrix
+            L = laplacian(g)
             assert np.all(L @ np.ones(g.p) == 0.0)
             assert np.array_equal(L, L.T)
 
@@ -89,19 +89,21 @@ class TestLaplacian:
         rng = np.random.default_rng(123)
         for trial in range(120):
             g = random_graph(rng, int(rng.integers(2, 11)), connected=bool(trial % 2))
-            L = laplacian(g).matrix
+            L = laplacian(g)
             spec = eigenvalues(L, zero_tol=1e-9 * (1.0 + np.linalg.norm(L)))
             assert (spec.n_zero == 1) == is_connected(g)
+            assert is_connected(L) == is_connected(g)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
             g = random_graph(rng, int(rng.integers(1, 11)), connected=False)
-            eigs = eigenvalues(laplacian(g).matrix).eigenvalues.real
+            eigs = eigenvalues(laplacian(g)).eigenvalues.real
             assert eigs.min() >= -1e-10
 
     def test_matrix_is_read_only(self):
-        L = laplacian(preset_graph("ring", 4)).matrix
+        L = laplacian(preset_graph("ring", 4))
+        assert isinstance(L, np.ndarray) and not L.flags.writeable
         with pytest.raises(ValueError):
             L[0, 0] = 5.0
 

@@ -202,6 +202,8 @@ class TestExperiment:
         assert report.alpha == pytest.approx(0.5 * report.alpha_max)
         assert report.rho_max is not None and 0.0 < report.rho_max < 1.0
         assert report.spectral.spectrum_M is not None
+        assert report.alpha_max == report.spectral.alpha_max
+        assert report.rho_max == report.spectral.rho_max(report.alpha)
 
     def test_rollout_start_options(self):
         scn = dataclasses.replace(DESK, snapshots_per_agent=2)
