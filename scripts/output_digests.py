@@ -40,7 +40,14 @@ revisions, run this one script against each checkout and diff the output:
 
 With ``--keep DIR`` each run's outputs stay in ``DIR/<run>/`` (DIR must be
 empty or absent), so the files behind two differing listings can be read
-side by side.
+side by side.  With ``--against OTHER``, a directory an earlier ``--keep``
+run left (of another checkout, say), the listing is followed by one line
+per output whose bytes differ from ``OTHER/<run>/<file>``: the largest
+absolute deviation of a CSV's numeric cells, the differing keys of a JSON
+file, or that the file exists on one side only:
+
+    python3 scripts/output_digests.py ../parent --keep before > before.txt
+    python3 scripts/output_digests.py --against before > after.txt
 """
 
 import os
@@ -52,8 +59,10 @@ sys.dont_write_bytecode = True
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import csv  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -62,6 +71,8 @@ _parser.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).pa
                      help="checkout whose src and configs are run (default: this one)")
 _parser.add_argument("--keep", type=Path, metavar="DIR",
                      help="write the runs under DIR/<run>/ and leave them there")
+_parser.add_argument("--against", type=Path, metavar="OTHER",
+                     help="list how each output differs from OTHER/<run>/<file>")
 _args = _parser.parse_args()
 if _args.keep is not None and _args.keep.exists() and any(_args.keep.iterdir()):
     _parser.error(f"--keep directory {_args.keep} is not empty")
@@ -131,11 +142,80 @@ def runs(tmp: Path, out_root: Path) -> list[tuple[str, list[str]]]:
             (central.name, ["solve-central", str(central / "X.csv"), str(central / "Y.csv")])]
 
 
-def main_digests(keep: Path | None) -> int:
+def _csv_deviation(here: Path, there: Path) -> str:
+    """The largest absolute deviation between two CSVs' numeric cells, next
+    to their largest magnitude; the other cells (headers, flags, empty
+    cells) are compared as text."""
+    def cells(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+
+    a, b = cells(here), cells(there)
+    if [len(row) for row in a] != [len(row) for row in b]:
+        return "shape differs"
+    worst, size, text = 0.0, 0.0, 0
+    for x, y in zip((c for row in a for c in row), (c for row in b for c in row)):
+        try:
+            u, v = float(x), float(y)
+        except ValueError:
+            text += x != y
+            continue
+        size = max(size, abs(u), abs(v))
+        if u != v and not (math.isnan(u) and math.isnan(v)):
+            gap = abs(u - v)
+            worst = max(worst, math.inf if math.isnan(gap) else gap)  # nan on one side: inf
+    return (f"max abs deviation {worst:.3g} (largest |value| {size:.3g})"
+            + (f", {text} text cells differ" if text else ""))
+
+
+def _json_keys(a, b, prefix: str = "") -> list[str]:
+    """Dotted paths of the keys whose values differ; ``+`` marks a key found
+    here only, ``-`` one found in the other file only."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [] if a == b else [prefix or "(top level)"]
+    out = []
+    for key in sorted(a.keys() | b.keys()):
+        path = f"{prefix}.{key}" if prefix else key
+        if key not in b:
+            out.append("+" + path)
+        elif key not in a:
+            out.append("-" + path)
+        else:
+            out += _json_keys(a[key], b[key], path)
+    return out
+
+
+def deviations(out_root: Path, other: Path, names: list[str]) -> list[str]:
+    """One line per output file of ``names`` (``<run>/<file>``, plus the
+    files of those runs under ``other``) whose bytes differ."""
+    lines = []
+    runs = sorted({name.split("/")[0] for name in names})
+    theirs = [f"{run}/{p.name}" for run in runs if (other / run).is_dir()
+              for p in sorted((other / run).iterdir())]
+    for name in names + [n for n in theirs if n not in names]:
+        here, there = out_root / name, other / name
+        if not there.exists():
+            lines.append(f"{name}: only here")
+        elif not here.exists():
+            lines.append(f"{name}: only in {other}")
+        elif here.read_bytes() == there.read_bytes():
+            continue
+        elif here.suffix == ".csv":
+            lines.append(f"{name}: {_csv_deviation(here, there)}")
+        elif here.suffix == ".json":
+            keys = _json_keys(json.loads(here.read_text(encoding="utf-8")),
+                              json.loads(there.read_text(encoding="utf-8")))
+            lines.append(f"{name}: keys differ: {', '.join(keys) or '(formatting only)'}")
+        else:
+            lines.append(f"{name}: bytes differ")
+    return lines
+
+
+def main_digests(keep: Path | None, against: Path | None) -> int:
     with tempfile.TemporaryDirectory(prefix="output_digests.") as tmp:
         tmp = Path(tmp)
         out_root = tmp / "runs" if keep is None else keep.resolve()
-        lines = []
+        lines, names = [], []
         for run, argv in runs(tmp, out_root):
             out = out_root / run
             with contextlib.redirect_stdout(sys.stderr):
@@ -143,11 +223,16 @@ def main_digests(keep: Path | None) -> int:
             if rc != 0:
                 print(f"{run}: exit {rc}", file=sys.stderr)
                 return 1
+            paths = sorted(out.iterdir())
+            names += [f"{run}/{path.name}" for path in paths]
             lines += [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {run}/{path.name}"
-                      for path in sorted(out.iterdir())]
+                      for path in paths]
+        if against is not None:
+            moved = deviations(out_root, against.resolve(), names)
+            lines += ["", f"{len(moved)} outputs differ from {against}:", *moved]
     print("\n".join(lines))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main_digests(_args.keep))
+    sys.exit(main_digests(_args.keep, _args.against))

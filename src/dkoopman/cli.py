@@ -21,8 +21,8 @@ import numpy as np
 
 from . import dataio
 from .config import ConfigError, RunConfig, from_dict, load_config, to_dict
-from .consensus import (NotSemiHurwitzError, initial_states, iterate_rounds, manual_gains,
-                        run, spectral_report, tail_contraction)
+from .consensus import (NotSemiHurwitzError, Start, iterate_rounds, manual_gains, run,
+                        spectral_report, tail_contraction)
 from .edmd import LiftedData, centralized_solve
 from .graphs import DisconnectedGraphError, Graph, GraphError, laplacian, parse_graph_text
 from .scenario import build_instance, make_experiment, simulate_frames
@@ -47,6 +47,8 @@ def _spectral_summary(report) -> dict:
     """The step-size analysis that report.json's spectral block and sweep.json share."""
     return {"alpha_max": report.alpha_max, "rank": report.rank, "n_zero": report.n_zero,
             "n_zero_structural": report.n_zero_structural,
+            "n_unresolved": report.n_unresolved,
+            "n_unresolved_predicted": report.n_unresolved_predicted,
             "semi_hurwitz": report.semi_hurwitz}
 
 
@@ -103,8 +105,7 @@ def cmd_alpha_sweep(cfg: RunConfig) -> int:
     lap = laplacian(inst.graph)
     base = cfg.solver_gains()
     report = spectral_report(inst.partition, inst.data, lap, base.k_P, base.k_I)
-    init = initial_states(inst.graph.p, inst.data.feature_dim,
-                          cfg.init.mode, cfg.init.seed)  # run only reads it
+    init = Start(cfg.init.mode, cfg.init.seed)
 
     lines = ["theta,alpha,rho_max,converged,diverged,iterations,contraction"]
     for theta in cfg.sweep_thetas:
@@ -143,8 +144,7 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     gains = manual_gains(base, alpha)
     reps = cfg.benchmark_repeats
     rounds = min(200, gains.t_max)
-    init = initial_states(inst.graph.p, inst.data.feature_dim,
-                          cfg.init.mode, cfg.init.seed)
+    init = Start(cfg.init.mode, cfg.init.seed)
 
     # the full run first: a diverging step size would overflow the fixed rounds
     total_ms = []

@@ -36,14 +36,17 @@ for the spectrum-equality tests.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 
 import numpy as np
 
 from .edmd import LiftedData
 from .graphs import DisconnectedGraphError, Graph, is_connected, laplacian
 from .linalg import (ZERO_TOL_FACTOR, Spectrum, as_matrix, eigenvalues, psd_sqrt,
-                     range_basis)
+                     range_basis, range_svd)
 
 DIVERGENCE_GUARD = 1e12
 
@@ -116,15 +119,36 @@ class AgentState:
         object.__setattr__(self, "R", R)
 
 
+@dataclass(frozen=True)
+class Start:
+    """The agents' start as a value: K_i(0) all zero (``zeros``) or drawn
+    uniform(-1, 1) from ``numpy.random.default_rng(seed)`` one agent at a
+    time (``random``); R_i(0) = 0 always.
+
+    :func:`run` and :func:`iterate_rounds` take a ``Start`` in place of a
+    sequence of agent states, and a zero start then forms no n x n array.
+    """
+
+    mode: str = "zeros"
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.mode not in ("zeros", "random"):
+            raise ValueError(f"unknown init mode {self.mode!r}; use 'zeros' or 'random'")
+
+    def operators(self, p: int, n: int) -> Iterator[np.ndarray] | None:
+        """The n x n start operators K_1(0)..K_p(0), drawn as they are
+        consumed; None for a zero start."""
+        if self.mode == "zeros":
+            return None
+        rng = np.random.default_rng(self.seed)
+        return (rng.uniform(-1.0, 1.0, (n, n)) for _ in range(p))
+
+
 def initial_states(p: int, n: int, mode: str = "zeros", seed: int = 0) -> list[AgentState]:
-    """Fresh agent states: K_i(0) all-zero or seeded uniform(-1, 1); R_i(0) = 0 always."""
-    if mode == "zeros":
-        return [AgentState(np.zeros((n, n)), np.zeros((n, n))) for _ in range(p)]
-    if mode == "random":
-        rng = np.random.default_rng(seed)
-        return [AgentState(rng.uniform(-1.0, 1.0, (n, n)), np.zeros((n, n)))
-                for _ in range(p)]
-    raise ValueError(f"unknown init mode {mode!r}; use 'zeros' or 'random'")
+    """The agent states of ``Start(mode, seed)``, formed as n x n arrays."""
+    K = Start(mode, seed).operators(p, n) or (np.zeros((n, n)) for _ in range(p))
+    return [AgentState(Ki, np.zeros((n, n))) for Ki in K]
 
 
 @dataclass(frozen=True)
@@ -170,6 +194,14 @@ class SpectralReport:
     same eigenvalues with M's own zero cutoff.  ``rank`` is the rank r of
     the data X; a connected graph gives exactly ``n_zero_structural`` =
     2n - r zero eigenvalues, which the report holds as exact zeros.
+
+    Every other eigenvalue is nonzero, but those too small for the cutoff
+    count in ``n_zero`` as well: ``n_unresolved`` = ``n_zero`` -
+    ``n_zero_structural`` of them.  The core's smallest eigenvalues are, to
+    first order, the -sigma_k(X)^2 / p of its zero-mode block, so
+    ``n_unresolved_predicted`` = #{k <= r : sigma_k(X)^2 / p <= cutoff}
+    predicts that count from the data alone; such a mode contracts by only
+    1 - alpha sigma_k^2 / p per round.
     """
 
     spectrum_M_tilde: Spectrum
@@ -179,6 +211,12 @@ class SpectralReport:
     semi_hurwitz: bool
     rank: int
     n_zero_structural: int
+    n_unresolved_predicted: int
+
+    @property
+    def n_unresolved(self) -> int:
+        """Nonzero eigenvalues of M~ that the zero cutoff cannot tell from zero."""
+        return self.n_zero - self.n_zero_structural
 
     def step_size(self, gains: SolverGains) -> float:
         """The explicit ``gains.alpha``, or ``gains.alpha_fraction * alpha_max``."""
@@ -315,7 +353,7 @@ def spectral_report(part: Partition, data: LiftedData, L: np.ndarray,
     p, n = L.shape[0], data.feature_dim
     if part.p != p:
         raise ValueError(f"partition has {part.p} agents, Laplacian has {p}")
-    Q = range_basis(data.X)
+    Q, sigma = range_svd(data.X)
     r = Q.shape[1]
     G = np.array([Xi_t @ Xi_t.T for Xi_t in (Q.T @ Xi for Xi, _ in part.blocks(data))])
     mu, U = np.linalg.eigh(L)
@@ -347,6 +385,7 @@ def spectral_report(part: Partition, data: LiftedData, L: np.ndarray,
         semi_hurwitz=semi_hurwitz_check(spec_t),
         rank=r,
         n_zero_structural=2 * n - r,
+        n_unresolved_predicted=int(np.sum(sigma**2 / p <= tol_t)),
     )
 
 
@@ -359,9 +398,13 @@ def resolve_alpha(gains: SolverGains, part: Partition, data: LiftedData,
 
 
 def _check_states(states, part, data, graph):
-    if len(states) != graph.p or part.p != graph.p:
+    """A sequence of agent states, or a :class:`Start`, fits the instance."""
+    count = graph.p if isinstance(states, Start) else len(states)
+    if count != graph.p or part.p != graph.p:
         raise ValueError(
-            f"got {len(states)} states, partition p={part.p}, graph p={graph.p}")
+            f"got {count} states, partition p={part.p}, graph p={graph.p}")
+    if isinstance(states, Start):
+        return
     n = data.feature_dim
     for s in states:
         if s.K.shape != (n, n):
@@ -420,6 +463,11 @@ class _Reduced:
     every nonzero start, whose n or more start columns leave nothing to
     save, H is None and d = n.
 
+    The start is a :class:`Start` or a sequence of agent states, whose
+    K_i(0) and R_i(0) are only read.  A zero ``Start`` forms no n x n
+    array; a random one draws its K_i(0) one agent at a time, as
+    :func:`initial_states` does, and each is dropped once it is reduced.
+
     The state is one C-contiguous 2p x (b*d + q) array whose row j holds
     vec(W_j^T H) (j <= p), vec(S_j^T H) (j > p), then the j-th complement
     coefficients, and a round is
@@ -433,23 +481,33 @@ class _Reduced:
     Z_W is the first p rows' b*d columns, the only part a Gram touches.
     """
 
-    def __init__(self, K, R, graph: Graph, part: Partition, data: LiftedData,
+    def __init__(self, init, graph: Graph, part: Partition, data: LiftedData,
                  k_P: float, k_I: float, alpha: float):
         B = range_basis(data.X)
         n, b = B.shape
-        p = len(K)  # K and R: sequences of the n x n K_i(0) and R_i(0), only read
-        mats = (*K, *R)
-        zero = not any(M.any() for M in mats)
-        H = np.linalg.qr(data.Y)[0] if zero and data.num_samples < n else None
+        p = graph.p
+        if isinstance(init, Start):  # M_1..M_2p: the K_j(0), then the zero R_j(0)
+            K = init.operators(p, n)
+            mats = None if K is None else chain(K, repeat(np.zeros((n, n)), p))
+        else:
+            states = list(init)
+            mats = (*(s.K for s in states), *(s.R for s in states))
+            if not any(M.any() for M in mats):
+                mats = None
+        H = np.linalg.qr(data.Y)[0] if mats is None and data.num_samples < n else None
         d = n if H is None else H.shape[1]
         self.Phi = None
-        if zero:
+        if mats is None:
             self.Z0 = np.zeros((2 * p, b * d))
-        else:  # one product per agent: a single one on all the rows rounds differently
-            MB = [M @ B for M in mats]
-            self.Z0 = np.stack([A.T for A in MB]).reshape(2 * p, b * d)
-            if b < n:
-                U = np.stack([M - A @ B.T for M, A in zip(mats, MB)]).reshape(2 * p, n * n)
+        else:
+            self.Z0 = np.empty((2 * p, b * d))
+            U = np.empty((2 * p, n * n)) if b < n else None
+            for j, M in enumerate(mats):  # one product each: one on all rows rounds differently
+                A = M @ B
+                self.Z0[j] = A.T.ravel()
+                if U is not None:
+                    U[j] = (M - A @ B.T).ravel()
+            if U is not None:
                 self.Phi, T = np.linalg.qr(U.T)
                 self.Z0 = np.hstack([self.Z0, T.T])
         self.B, self.H, self.p, self.b, self.d = B, H, p, b, d
@@ -474,15 +532,48 @@ class _Reduced:
         p, b, d = self.p, self.b, self.d
         return Z, Z[:p, :b * d].reshape(p, b, d)
 
-    def states(self, Z) -> list[AgentState]:
-        """Full-coordinate agent states K_i = H W_i^T B^T + U_i, likewise R_i."""
-        p, b, d = self.p, self.b, self.d
-        KR = Z[:, :b * d].reshape(2 * p, b, d).transpose(0, 2, 1) @ self.B.T
-        if self.H is not None:
-            KR = self.H @ KR
+    def lift(self, z) -> np.ndarray:
+        """The n x n matrix H W^T B^T + U of one state row z: vec(W^T H), then
+        the coefficients of U in Phi."""
+        b, d = self.b, self.d
+        M = z[:b * d].reshape(b, d).T
+        if self.H is not None:  # n x b first: the cheaper order when d < n
+            M = self.H @ M
+        M = M @ self.B.T
         if self.Phi is not None:
-            KR += (Z[:, b * d:] @ self.Phi.T).reshape(KR.shape)
-        return [AgentState(KR[i], KR[p + i]) for i in range(p)]
+            M += (z[b * d:] @ self.Phi.T).reshape(M.shape)
+        return M
+
+
+class ReducedStates(Sequence):
+    """The agents' states, held as a state Z of :class:`_Reduced`.
+
+    Item i is ``AgentState(K_i, R_i)`` with K_i = H W_i^T B^T + U_i and R_i
+    likewise, formed anew each time it is read; :meth:`mean` forms the mean
+    operator alone, so a caller that needs only Kbar never holds an n x n
+    agent state.
+    """
+
+    def __init__(self, red: _Reduced, Z: np.ndarray):
+        self._red, self._Z = red, Z
+
+    def __len__(self) -> int:
+        return self._red.p
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        p = self._red.p
+        i = operator.index(i)
+        if not -p <= i < p:
+            raise IndexError(f"agent {i} out of range for {p} agents")
+        i %= p
+        return AgentState(self._red.lift(self._Z[i]), self._red.lift(self._Z[p + i]))
+
+    def mean(self) -> np.ndarray:
+        """Kbar = H Wbar^T B^T + Ubar, the mean of the K_i, from the mean of
+        their rows of Z."""
+        return self._red.lift(self._Z[:self._red.p].mean(axis=0))
 
 
 def _round(Z, out, red: _Reduced):
@@ -500,7 +591,7 @@ def _round(Z, out, red: _Reduced):
 
 
 def step(states, graph: Graph, gains: SolverGains, part: Partition,
-         data: LiftedData) -> list[AgentState]:
+         data: LiftedData) -> ReducedStates:
     """One synchronous round of the update law; neighbor reads are pre-round."""
     return iterate_rounds(states, graph, gains, part, data, 1)
 
@@ -565,9 +656,11 @@ def _incidence(graph: Graph) -> np.ndarray:
 
 
 def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedData,
-        record_mean: bool = False, series: bool = True) -> tuple[list[AgentState], RunTrace]:
+        record_mean: bool = False, series: bool = True) -> tuple[ReducedStates, RunTrace]:
     """Iterate the update law until both stopping residuals drop below stop_tol.
 
+    ``init`` is a :class:`Start` or a sequence of agent states; the final
+    states come back as :class:`ReducedStates`, whose ``mean()`` is Kbar.
     Requires a connected graph and all-zero integral states R_i(0).  Stops
     early on convergence (consensus error and KKT residual both below
     ``gains.stop_tol``) or on divergence (any state norm exceeding 1e12
@@ -597,12 +690,11 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     if not is_connected(graph):
         raise DisconnectedGraphError("solver requires a connected communication graph")
     _check_states(init, part, data, graph)
-    if any(s.R.any() for s in init):
+    if not isinstance(init, Start) and any(s.R.any() for s in init):
         raise ValueError("integral states must start at zero")
     alpha = resolve_alpha(gains, part, data, laplacian(graph))
     with np.errstate(over="ignore"):  # alpha G_i or alpha L overflows: the first round diverges
-        red = _Reduced([s.K for s in init], [s.R for s in init], graph, part, data,
-                       gains.k_P, gains.k_I, alpha)
+        red = _Reduced(init, graph, part, data, gains.k_P, gains.k_I, alpha)
     p, b, d, bd = red.p, red.b, red.d, red.b * red.d
     w = red.Z0.shape[1]  # b*d, plus the complement coefficients
     N, m, t_max = data.num_samples, len(graph.edges), gains.t_max
@@ -678,16 +770,17 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
                      converged=converged, diverged=diverged, iterations=t,
                      mean_history=mean_hist[:t] if record else None,
                      row_basis=red.B if red.Phi is None else None)
-    return red.states(buf[0]), trace
+    return ReducedStates(red, buf[0].copy()), trace  # not a view that holds the chunk buffer
 
 
 def iterate_rounds(states, graph: Graph, gains: SolverGains, part: Partition,
-                   data: LiftedData, rounds: int) -> list[AgentState]:
+                   data: LiftedData, rounds: int) -> ReducedStates:
     """Run a fixed number of rounds without diagnostics or stopping checks.
 
-    Same reduced coordinates and round as :func:`run`, so the iterates are
-    bit-identical to the corresponding prefix of a run with the same inputs.
-    Nonzero integral states R_i are allowed here.
+    Same start, reduced coordinates, round and returned states as
+    :func:`run`, so the iterates are bit-identical to the corresponding
+    prefix of a run with the same inputs.  Nonzero integral states R_i are
+    allowed here.
     """
     if gains.alpha is None:
         raise StepSizeError(
@@ -695,14 +788,13 @@ def iterate_rounds(states, graph: Graph, gains: SolverGains, part: Partition,
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
     _check_states(states, part, data, graph)
-    red = _Reduced([s.K for s in states], [s.R for s in states], graph, part, data,
-                   gains.k_P, gains.k_I, gains.alpha)
+    red = _Reduced(states, graph, part, data, gains.k_P, gains.k_I, gains.alpha)
     Z, out = red.Z0, np.empty_like(red.Z0)
     Zv, outv = red.views(Z), red.views(out)
     for _ in range(rounds):
         _round(Zv, outv, red)
         Z, out, Zv, outv = out, Z, outv, Zv
-    return red.states(Z)
+    return ReducedStates(red, Z)
 
 
 def tail_contraction(mean_history, tail_fraction: float = 0.5) -> float:

@@ -116,9 +116,16 @@ def range_basis(a, rank_tol: float | None = None) -> np.ndarray:
     """Orthonormal basis of range(A), one column per singular value above
     the :func:`pseudoinverse` cutoff for the same ``rank_tol``, so it spans
     exactly the directions that ``pseudoinverse(a, rank_tol)`` inverts."""
+    return range_svd(a, rank_tol)[0]
+
+
+def range_svd(a, rank_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`range_basis` and the singular values it keeps, largest first,
+    from one SVD."""
     arr = as_matrix(a)
     u, s, _ = np.linalg.svd(arr, full_matrices=False)
-    return u[:, s > _rank_cutoff(arr.shape, s, rank_tol)]
+    keep = s > _rank_cutoff(arr.shape, s, rank_tol)
+    return u[:, keep], s[keep]
 
 
 def _rank_cutoff(shape, s: np.ndarray, rank_tol: float | None) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import (Partition, RunTrace, SolverGains, SpectralReport, initial_states,
+from .consensus import (Partition, RunTrace, SolverGains, SpectralReport, Start,
                         manual_gains, partition_data, run, spectral_report)
 from .edmd import (Dictionary, KoopmanModel, LiftedData, SnapshotSequence,
                    centralized_solve, lift, parse_dictionary, rollout)
@@ -122,12 +122,30 @@ def _diffuse(u: np.ndarray, d: float) -> np.ndarray:
     return u + d * lap
 
 
-def _saturate(u: np.ndarray, gain: float) -> np.ndarray:
-    # blend toward the full logistic map; [0, 1] is exactly invariant for
-    # gain in [0, 1] and gain 0 is the identity
+def _step(u: np.ndarray, scn: GridScenario, out: np.ndarray, tmp: np.ndarray) -> None:
+    """One step of the map from frame u into ``out``: advect, diffuse, then
+    the logistic saturation and the clip to [0, 1] in place, with ``tmp``
+    (2, g, g) for their temporaries; u must not share memory with them."""
+    v = _diffuse(_advect(u, *scn.drift), scn.diffusion)
+    gain = scn.saturation_gain
+    # the blend (1 - gain) u + gain * 4 u (1 - u) toward the full logistic
+    # map; [0, 1] is exactly invariant for gain in [0, 1], and gain 0 is the
+    # identity.  The ufuncs run in the order of that expression, so the
+    # bits are those of evaluating it into fresh arrays.
     if gain == 0.0:
-        return u
-    return (1.0 - gain) * u + gain * 4.0 * u * (1.0 - u)
+        np.copyto(out, v)
+    else:
+        logistic, one_minus = tmp
+        np.multiply(1.0 - gain, v, out=out)
+        np.multiply(gain * 4.0, v, out=logistic)
+        np.subtract(1.0, v, out=one_minus)
+        logistic *= one_minus
+        out += logistic
+    # np.clip's bits for every value but -0.0, which the map never makes:
+    # the frames start at or above +0.0, and an exact cancellation rounds
+    # to +0.0
+    np.maximum(out, 0.0, out=out)
+    np.minimum(out, 1.0, out=out)
 
 
 def advance(frame, scn: GridScenario) -> np.ndarray:
@@ -135,10 +153,9 @@ def advance(frame, scn: GridScenario) -> np.ndarray:
     u = np.asarray(frame, dtype=float)
     if u.ndim != 2:
         raise ValueError(f"frame must be 2-D, got shape {u.shape}")
-    u = _advect(u, *scn.drift)
-    u = _diffuse(u, scn.diffusion)
-    u = _saturate(u, scn.saturation_gain)
-    return np.clip(u, 0.0, 1.0)
+    out = np.empty_like(u)
+    _step(u, scn, out, np.empty((2, *u.shape)))
+    return out
 
 
 def simulate_frames(scn: GridScenario, count: int) -> np.ndarray:
@@ -147,18 +164,21 @@ def simulate_frames(scn: GridScenario, count: int) -> np.ndarray:
     The burn-in lets the process settle onto its attractor before the
     agents start observing (the paper-scale default parameters sit in the
     logistic period-3 window, where the settled frames repeat with period
-    three and the agents' blocks coincide).
+    three and the agents' blocks coincide).  Each step writes into a
+    preallocated frame, with the same bits as :func:`advance`.
     """
     if count < 1:
         raise ValueError("count must be positive")
     g = scn.grid_side
     frame = initial_frame(scn)
-    for _ in range(scn.burn_in):
-        frame = advance(frame, scn)
+    burn, tmp = np.empty((2, g, g)), np.empty((2, g, g))
+    for k in range(scn.burn_in):  # alternate between two frames
+        _step(frame, scn, burn[k % 2], tmp)
+        frame = burn[k % 2]
     out = np.empty((count, g, g))
     out[0] = frame
     for k in range(1, count):
-        out[k] = advance(out[k - 1], scn)
+        _step(out[k - 1], scn, out[k], tmp)
     return out
 
 
@@ -275,11 +295,10 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
     spectral = spectral_report(inst.partition, inst.data, lap, gains.k_P, gains.k_I)
     alpha = spectral.step_size(gains)
 
-    init = initial_states(inst.graph.p, inst.data.feature_dim, init_mode, init_seed)
-    states, trace = run(init, inst.graph, manual_gains(gains, alpha),
+    states, trace = run(Start(init_mode, init_seed), inst.graph, manual_gains(gains, alpha),
                         inst.partition, inst.data)
-    K_ave = KoopmanModel(np.mean([s.K for s in states], axis=0))
-    del init, states  # nothing reads the agent states past their mean
+    K_ave = KoopmanModel(states.mean())  # no agent's n x n state is formed
+    del states
 
     K_star = centralized_solve(inst.data, rank_tol)
 

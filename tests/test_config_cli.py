@@ -423,6 +423,7 @@ class TestExperimentCommand:
         n = SMALL_SCENARIO["grid_side"] ** 2
         assert spectral["rank"] == n  # N = 18 > n = 9 columns
         assert spectral["n_zero"] == spectral["n_zero_structural"] == 2 * n - n
+        assert spectral["n_unresolved"] == spectral["n_unresolved_predicted"] == 0
         # M shares M~'s eigenvalues, so the report keeps only M's zero cutoff
         assert "spectrum_M" not in spectral
         run_cfg = load_config(write_config(tmp_path, cfg))
@@ -535,6 +536,17 @@ class TestAlphaSweepCommand:
         n = SMALL_SCENARIO["grid_side"] ** 2
         assert sweep["rank"] == n
         assert sweep["n_zero"] == sweep["n_zero_structural"] == 2 * n - n
+        assert sweep["n_unresolved"] == sweep["n_unresolved_predicted"] == 0
+
+    def test_unresolved_zero_named(self, tmp_path):
+        # paper seed 16: r = 4, and one core eigenvalue, about -sigma_4(X)^2 / p,
+        # falls under the zero cutoff
+        out = tmp_path / "paper16"
+        assert cli.main(["alpha-sweep", "--scale", "paper", "--seed", "16", "--thetas", "0.5",
+                         "--out", str(out)]) == 0
+        sweep = dataio.read_json(out / "sweep.json")
+        assert sweep["n_zero"] == sweep["n_zero_structural"] + 1 == 2 * 400 - 4 + 1
+        assert sweep["n_unresolved"] == sweep["n_unresolved_predicted"] == 1
 
     def test_bad_thetas_flag(self, tmp_path):
         path = write_config(tmp_path, small_config(out_dir=str(tmp_path / "s")))
@@ -609,6 +621,18 @@ class TestAlphaSweepCommand:
         assert outputs[0] == outputs[1]
         thetas = len(cfg["sweep_thetas"])
         assert seen == [False] * thetas + [True] * thetas
+
+
+def test_zero_start_forms_no_agent_state(tmp_path, monkeypatch):
+    # experiment and alpha-sweep read the mean operator and the trace alone
+    made = []
+    monkeypatch.setattr(consensus.AgentState, "__post_init__", lambda s: made.append(s))
+    gains = SolverGains(k_P=150.0, k_I=75.0, alpha_fraction=0.5, t_max=50, stop_tol=0.0)
+    report = scenario.make_experiment(scenario.GridScenario(), gains)
+    assert report.K_ave.K.shape == (400, 400) and made == []
+    path = write_config(tmp_path, small_config(out_dir=str(tmp_path / "s"), t_max=200))
+    assert cli.main(["alpha-sweep", "--config", path, "--thetas", "0.5,3.0"]) == 0
+    assert made == []
 
 
 class TestBenchmarkCommand:

@@ -11,8 +11,9 @@ from dkoopman.consensus import (DIVERGENCE_GUARD, AgentState, NotSemiHurwitzErro
                                 SolverGains, StepSizeError, assemble_M, assemble_M_tilde,
                                 assemble_block_X, compute_alpha_max, compute_rho_max,
                                 initial_states, iterate_rounds, kkt_residual,
-                                manual_gains, partition_data, resolve_alpha, run,
-                                semi_hurwitz_check, spectral_report, step,
+                                manual_gains, partition_data, ReducedStates,
+                                resolve_alpha, run,
+                                semi_hurwitz_check, spectral_report, Start, step,
                                 tail_contraction, _quadratic_roots, _Reduced)
 from dkoopman.edmd import LiftedData, centralized_solve
 from dkoopman.graphs import (DisconnectedGraphError, build_graph, laplacian,
@@ -399,8 +400,7 @@ class TestRun:
         gains = SolverGains(k_P=2.0, k_I=1.0, alpha=0.005, t_max=50, stop_tol=0.0)
         init = initial_states(2, 3)
         _, trace = run(init, graph, gains, part, data, record_mean=True)
-        red = _Reduced([s.K for s in init], [s.R for s in init], graph, part, data,
-                       gains.k_P, gains.k_I, gains.alpha)
+        red = _Reduced(init, graph, part, data, gains.k_P, gains.k_I, gains.alpha)
         assert trace.iterations == 50
         assert trace.mean_history.shape == (50, red.b, red.d)
         for series in (trace.consensus_error, trace.objective_mean, trace.fit_metric,
@@ -486,6 +486,16 @@ class TestSpectralReport:
             assert rep.rho_max(alpha) is None, alpha
         for alpha in (5e-324, 0.5 * a_max, np.nextafter(a_max, 0.0)):
             assert rep.rho_max(alpha) == compute_rho_max(rep.spectrum_M_tilde, alpha)
+
+    @pytest.mark.parametrize("seed, rank, unresolved", [(16, 4, 1), (116, 4, 1), (7, 3, 0)])
+    def test_unresolved_zeros_predicted_by_the_data(self, seed, rank, unresolved):
+        # paper scale: with r = 4 one core eigenvalue, about -sigma_4(X)^2 / p,
+        # falls under the zero cutoff; the SVD's count names it
+        inst = build_instance(GridScenario(seed=seed))
+        rep = spectral_report(inst.partition, inst.data, laplacian(inst.graph), 150.0, 75.0)
+        assert rep.rank == rank
+        assert rep.n_unresolved == rep.n_zero - rep.n_zero_structural == unresolved
+        assert rep.n_unresolved_predicted == unresolved
 
     def test_observed_contraction_matches_worked_rho(self):
         # theta=0.5 on the worked instance: alpha=0.5, rho_max=0.5; the
@@ -679,7 +689,7 @@ def _reduced_path(red, rounds):
     for _ in range(rounds):
         consensus._round(red.views(Z), red.views(nxt), red)
         Z, nxt = nxt, Z
-        path.append(_stacked(red.states(Z)))
+        path.append(_stacked(ReducedStates(red, Z)))
     return np.array(path)  # (rounds, 2, p, n, n)
 
 
@@ -748,7 +758,7 @@ class TestReducedKernel:
             out = iterate_rounds(states, graph, gains, part, data, rounds)
         else:
             out, trace = run(states, graph, gains, part, data, record_mean=True)
-            red = _Reduced(K0, R0, graph, part, data, k_P, k_I, alpha)
+            red = _Reduced(states, graph, part, data, k_P, k_I, alpha)
             assert np.array_equal(red.B, range_basis(data.X))
             if red.Phi is None:
                 assert np.array_equal(trace.row_basis, red.B)
@@ -807,8 +817,8 @@ class TestReducedKernel:
         gains = SolverGains(k_P=5.0, k_I=2.0, alpha=0.5 * rep.alpha_max, t_max=20000,
                             stop_tol=1e-10)
         init = initial_states(agents, inst.data.feature_dim)
-        red = _Reduced([s.K for s in init], [s.R for s in init], inst.graph, inst.partition,
-                       inst.data, gains.k_P, gains.k_I, gains.alpha)
+        red = _Reduced(init, inst.graph, inst.partition, inst.data, gains.k_P, gains.k_I,
+                       gains.alpha)
         assert not red.P[agents:, :agents].sum(axis=0).any()
         _, trace = run(init, inst.graph, gains, inst.partition, inst.data)
         _, _, dense = dense_run(*_stacked(init), inst.graph, gains, inst.partition, inst.data)
@@ -912,14 +922,14 @@ class TestChunkedRun:
             K0 = rng.uniform(-1.0, 1.0, (2, 12, 12))
         alpha = 0.5 * spectral_report(part, data, laplacian(graph), 2.0, 1.0).alpha_max
         gains = SolverGains(k_P=2.0, k_I=1.0, alpha=alpha, t_max=100, stop_tol=0.0)
-        red = _Reduced(K0, np.zeros_like(K0), graph, part, data, 2.0, 1.0, alpha)
+        states = [AgentState(K0[i], np.zeros((12, 12))) for i in range(2)]
+        red = _Reduced(states, graph, part, data, 2.0, 1.0, alpha)
         assert np.array_equal(red.B, range_basis(data.X)) and red.G.shape == (2, r, r)
         if init == "zeros":
             assert red.H.shape == (12, 3) and red.Z0.shape == (2 * 2, r * 3)
         else:
             assert red.H is None and red.Z0.shape == (2 * 2, r * 12 + 2 * 2)
         assert red.Z0.flags.c_contiguous
-        states = [AgentState(K0[i], np.zeros((12, 12))) for i in range(2)]
         out, trace = run(states, graph, gains, part, data, record_mean=True)
         K, R, dense = dense_run(K0, np.zeros_like(K0), graph, gains, part, data)
         size = np.linalg.norm(K) + np.linalg.norm(R)
@@ -934,7 +944,8 @@ class TestChunkedRun:
     def test_no_left_basis_when_n_at_most_N(self):
         data, part, graph, _ = _structural_case(3, 4, [2, 1, 2], 4, 32)
         K0 = np.random.default_rng(32).standard_normal((3, 4, 4))
-        red = _Reduced(K0, np.zeros_like(K0), graph, part, data, 1.0, 1.0, 0.01)
+        red = _Reduced([AgentState(K, np.zeros((4, 4))) for K in K0], graph, part, data,
+                       1.0, 1.0, 0.01)
         assert red.H is None and red.Phi is None and red.Z0.shape == (2 * 3, 4 * 4)
 
     def test_one_round_chunks(self, monkeypatch):
@@ -965,8 +976,8 @@ class TestChunkedRun:
         _, trace = run(init, inst.graph, gains, inst.partition, inst.data,
                        record_mean=True)
         assert trace.mean_history.shape == (100, 16, 16)  # r = n: b = d = 16
-        red = _Reduced([s.K for s in init], [s.R for s in init], inst.graph, inst.partition,
-                       inst.data, gains.k_P, gains.k_I, gains.alpha)
+        red = _Reduced(init, inst.graph, inst.partition, inst.data, gains.k_P, gains.k_I,
+                       gains.alpha)
         history = _lifted(trace.mean_history, red)
         for t in (1, 16, 17, 32, 33, 64, 65, 100):
             out = iterate_rounds(init, inst.graph, gains, inst.partition, inst.data, t)
@@ -993,8 +1004,7 @@ class TestChunkedRun:
         # M's block on the complement of range(X)
         data, part, graph, _ = _structural_case(4, 5, [1, 1, 2, 1], 2, 33)
         L = laplacian(graph)
-        red = _Reduced(np.zeros((4, 5, 5)), np.zeros((4, 5, 5)), graph, part, data,
-                       3.0, 1.5, 0.02)
+        red = _Reduced(Start(), graph, part, data, 3.0, 1.5, 0.02)
         M_perp = np.block([[-3.0 * L, L], [-1.5 * np.eye(4), np.zeros((4, 4))]])
         assert np.array_equal(red.P, np.eye(8) + 0.02 * M_perp.T)
 
@@ -1080,6 +1090,112 @@ class TestSeriesFreeRun:
         full = _series_free_matches(initial_states(3, 4), graph, gains, part, data)
         assert full.mean_history.shape == (full.iterations, 0, 4)
         assert full.iterations == (40 if stop_tol == 0.0 else 1)
+
+
+class TestStart:
+    """``Start(mode, seed)`` stands for the agent states of ``initial_states``."""
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown init mode"):
+            Start("ones")
+        with pytest.raises(ValueError, match="unknown init mode"):
+            initial_states(2, 3, "ones")
+
+    @pytest.mark.parametrize("mode, seed, snapshots", [("zeros", 0, 8), ("random", 1, 8),
+                                                       ("random", 7, 2)],
+                             ids=["zeros", "random, b = n", "random, b < n"])
+    def test_same_run_as_initial_states(self, mode, seed, snapshots):
+        inst = _desk_instance(snapshots)
+        gains = SolverGains(k_P=5.0, k_I=2.0, alpha=0.01, t_max=70, stop_tol=0.0)
+        args = (inst.graph, gains, inst.partition, inst.data)
+        states, trace = run(Start(mode, seed), *args, record_mean=True)
+        ref_states, ref = run(initial_states(3, 16, mode, seed), *args, record_mean=True)
+        for name in _SERIES + ("mean_history", "row_basis"):
+            assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
+        rounds = iterate_rounds(Start(mode, seed), *args, 70)
+        ref_rounds = iterate_rounds(initial_states(3, 16, mode, seed), *args, 70)
+        for out, expected in ((states, ref_states), (rounds, ref_rounds), (rounds, states)):
+            for a, b in zip(out, expected, strict=True):
+                assert np.array_equal(a.K, b.K) and np.array_equal(a.R, b.R)
+
+    def test_zero_start_forms_no_state(self, monkeypatch):
+        inst = _desk_instance()
+        made = []
+        monkeypatch.setattr(AgentState, "__post_init__", lambda s: made.append(s))
+        gains = SolverGains(k_P=5.0, k_I=2.0, alpha=0.01, t_max=40, stop_tol=0.0)
+        states, _ = run(Start(), inst.graph, gains, inst.partition, inst.data)
+        states.mean()
+        assert made == []
+        states[0]
+        assert len(made) == 1
+
+    def test_partition_must_match_graph(self):
+        inst = _desk_instance()
+        gains = SolverGains(k_P=5.0, k_I=2.0, alpha=0.01, t_max=4)
+        with pytest.raises(ValueError, match="graph p=2"):
+            iterate_rounds(Start(), preset_graph("ring", 2), gains, inst.partition,
+                           inst.data, 4)
+
+
+class TestReducedStates:
+    """The states ``run`` returns, formed as they are read, and ``mean()``
+    against the mean of the formed states, the oracle: within
+    2e-15 max_i ||K_i||_F (worst 2.2e-16 over 200 draws of each case)."""
+
+    @staticmethod
+    def _mean_matches(states):
+        formed = [s.K for s in states]
+        scale = max(np.linalg.norm(K) for K in formed)
+        assert np.linalg.norm(states.mean() - np.mean(formed, axis=0)) <= 2e-15 * scale
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_start_left_basis(self, seed):
+        # n = 12 > N = 4: d = N < n
+        data, part, graph, _ = _structural_case(3, 12, [1, 2, 1], 3, seed)
+        gains = SolverGains(k_P=2.0, k_I=1.0, alpha=0.01, t_max=200, stop_tol=0.0)
+        states, _ = run(Start(), graph, gains, part, data)
+        red = _Reduced(Start(), graph, part, data, 2.0, 1.0, 0.01)
+        assert red.H is not None and red.d < 12
+        self._mean_matches(states)
+
+    def test_zero_start_full_rank(self):
+        inst = _desk_instance()
+        rep = spectral_report(inst.partition, inst.data, laplacian(inst.graph), 5.0, 2.0)
+        gains = SolverGains(k_P=5.0, k_I=2.0, alpha=0.5 * rep.alpha_max, t_max=300,
+                            stop_tol=0.0)
+        assert rep.rank == 16  # b = n
+        states, _ = run(Start(), inst.graph, gains, inst.partition, inst.data)
+        self._mean_matches(states)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_start_complement(self, seed):
+        # r = 3 < n = 12: the start's rows outside range(X) ride along
+        data, part, graph, _ = _structural_case(3, 12, [2, 2, 2], 3, seed)
+        gains = SolverGains(k_P=2.0, k_I=1.0, alpha=0.01, t_max=200, stop_tol=0.0)
+        states, trace = run(Start("random", seed), graph, gains, part, data)
+        assert trace.row_basis is None
+        self._mean_matches(states)
+
+    def test_diverged_run(self):
+        inst = _desk_instance()
+        rep = spectral_report(inst.partition, inst.data, laplacian(inst.graph), 5.0, 2.0)
+        gains = SolverGains(k_P=5.0, k_I=2.0, alpha=3.0 * rep.alpha_max, t_max=8000,
+                            stop_tol=0.0)
+        states, trace = run(Start("random", 7), inst.graph, gains, inst.partition, inst.data)
+        assert trace.diverged
+        self._mean_matches(states)
+
+    def test_sequence_protocol(self):
+        inst = _desk_instance()
+        gains = SolverGains(k_P=5.0, k_I=2.0, alpha=0.01, t_max=10, stop_tol=0.0)
+        states = iterate_rounds(Start("random", 3), inst.graph, gains, inst.partition,
+                                inst.data, 10)
+        assert len(states) == 3 and len(list(states)) == 3
+        assert np.array_equal(states[-1].K, states[2].K)
+        assert [s.R.tobytes() for s in states[1:]] == [states[i].R.tobytes() for i in (1, 2)]
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                states[i]
 
 
 class TestTailContraction:

@@ -80,6 +80,35 @@ class TestGenerate:
         full = simulate_frames(dataclasses.replace(scn, burn_in=0), 12)
         assert np.array_equal(direct, full[7:])
 
+    @pytest.mark.parametrize("drift, diffusion, gain", [
+        ((0.0, 0.0), 0.0, 0.945), ((1.0, 0.0), 0.0, 1.0), ((0.5, 0.25), 0.1, 0.7),
+        ((-1.3, 2.7), 0.25, 0.0), ((0.0, 0.0), 0.0, 0.0)])
+    def test_in_place_steps_keep_the_bits_of_fresh_arrays(self, drift, diffusion, gain):
+        # simulate_frames steps into preallocated frames; advance into a
+        # fresh one; both against the map evaluated one expression at a time
+        scn = GridScenario(grid_side=6, drift=drift, diffusion=diffusion,
+                           saturation_gain=gain, seed=11, burn_in=9)
+
+        def reference(u):
+            u = _advect(u, *drift)
+            if diffusion:
+                u = u + diffusion * (np.roll(u, 1, 0) + np.roll(u, -1, 0) + np.roll(u, 1, 1)
+                                     + np.roll(u, -1, 1) - 4.0 * u)
+            if gain:
+                u = (1.0 - gain) * u + gain * 4.0 * u * (1.0 - u)
+            return np.clip(u, 0.0, 1.0)
+
+        frames = simulate_frames(scn, 8)
+        u = simulate_frames(dataclasses.replace(scn, burn_in=0), 1)[0]
+        for _ in range(scn.burn_in):
+            u = reference(u)
+        assert frames[0].tobytes() == u.tobytes()
+        for k in range(1, 8):
+            assert frames[k].tobytes() == reference(frames[k - 1]).tobytes()
+            step = advance(frames[k - 1], scn)
+            assert step.tobytes() == frames[k].tobytes()
+            assert not np.shares_memory(step, frames)
+
     @pytest.mark.parametrize("drift", [(1.0, 0.0), (0.0, 0.0), (-2.0, 3.0), (0.4, 0.0),
                                        (0.0, -1.3), (0.4, 0.7)])
     def test_advect_matches_the_four_term_formula(self, drift):
