@@ -50,41 +50,17 @@ file, or that the file exists on one side only:
     python3 scripts/output_digests.py --against before > after.txt
 """
 
+import argparse
+import contextlib
+import csv
+import hashlib
+import json
+import math
 import os
 import sys
+import tempfile
+from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-sys.dont_write_bytecode = True
-
-import argparse  # noqa: E402
-import contextlib  # noqa: E402
-import csv  # noqa: E402
-import hashlib  # noqa: E402
-import json  # noqa: E402
-import math  # noqa: E402
-import tempfile  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-_parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-_parser.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).parents[1],
-                     help="checkout whose src and configs are run (default: this one)")
-_parser.add_argument("--keep", type=Path, metavar="DIR",
-                     help="write the runs under DIR/<run>/ and leave them there")
-_parser.add_argument("--against", type=Path, metavar="OTHER",
-                     help="list how each output differs from OTHER/<run>/<file>")
-_args = _parser.parse_args()
-if _args.keep is not None and _args.keep.exists() and any(_args.keep.iterdir()):
-    _parser.error(f"--keep directory {_args.keep} is not empty")
-ROOT = _args.checkout.resolve()
-sys.path.insert(0, str(ROOT / "src"))
-
-from dkoopman import dataio  # noqa: E402
-from dkoopman.cli import main  # noqa: E402
-from dkoopman.config import load_config  # noqa: E402
-from dkoopman.scenario import build_instance  # noqa: E402
-
-CONFIGS = ROOT / "configs"
 RANDOM_PAPER = {"scale": "paper", "init": {"mode": "random"}, "t_max": 30}
 SWEEP_BENCH = {"stop_tol": 0.0, "t_max": 8000}
 RADIAL_DESK = {"scale": "desk", "dictionary": "radial:20:0.5", "t_max": 300}
@@ -95,14 +71,18 @@ DRIFT_DIFFUSE_DESK = {"scale": "desk", "scenario": {"drift": [0.5, 0.25], "diffu
                       "t_max": 300}
 
 
-def runs(tmp: Path, out_root: Path) -> list[tuple[str, list[str]]]:
-    """(run name, CLI arguments without ``--out``) in the order listed above;
-    the configs go in ``tmp``, the ``solve-central`` inputs in its run
-    directory under ``out_root``."""
+def runs(configs: Path, tmp: Path, out_root: Path) -> list[tuple[str, list[str]]]:
+    """(run name, CLI arguments without ``--out``) in the order listed above,
+    from the checkout's ``configs``; the generated configs go in ``tmp``, the
+    ``solve-central`` inputs in its run directory under ``out_root``."""
+    from dkoopman import dataio
+    from dkoopman.config import load_config
+    from dkoopman.scenario import build_instance
+
     random_cfg = tmp / "paper_random.json"
     random_cfg.write_text(json.dumps(RANDOM_PAPER), encoding="utf-8")
     bench_cfg = tmp / "sweep_bench.json"
-    sweep = json.loads((CONFIGS / "sweep.json").read_text(encoding="utf-8"))
+    sweep = json.loads((configs / "sweep.json").read_text(encoding="utf-8"))
     bench_cfg.write_text(json.dumps({**sweep, **SWEEP_BENCH}), encoding="utf-8")
     path3 = tmp / "path3.txt"
     path3.write_text("3\n0 1\n1 2\n", encoding="utf-8")
@@ -116,13 +96,13 @@ def runs(tmp: Path, out_root: Path) -> list[tuple[str, list[str]]]:
     drift_cfg = tmp / "desk_drift_diffuse.json"
     drift_cfg.write_text(json.dumps(DRIFT_DIFFUSE_DESK), encoding="utf-8")
     central = out_root / "solve-central-desk-seed5"
-    cfg = load_config(CONFIGS / "desk.json", seed=5)
+    cfg = load_config(configs / "desk.json", seed=5)
     data = build_instance(cfg.scenario, cfg.graph.preset, cfg.dictionary).data
     dataio.write_matrix_csv(central / "X.csv", data.X)
     dataio.write_matrix_csv(central / "Y.csv", data.Y)
 
     def seeded(name, command, seeds):
-        config = str(CONFIGS / f"{name}.json")
+        config = str(configs / f"{name}.json")
         return [(f"{name}-seed{seed}", [command, "--config", config, "--seed", str(seed)])
                 for seed in seeds]
 
@@ -132,7 +112,7 @@ def runs(tmp: Path, out_root: Path) -> list[tuple[str, list[str]]]:
             ("paper-sweep", ["alpha-sweep", "--scale", "paper"]),
             ("paper-random-sweep-t30", ["alpha-sweep", "--config", str(random_cfg)]),
             ("sweep-bench-seed5", ["alpha-sweep", "--config", str(bench_cfg), "--seed", "5"]),
-            ("sweep-thetas", ["alpha-sweep", "--config", str(CONFIGS / "sweep.json"),
+            ("sweep-thetas", ["alpha-sweep", "--config", str(configs / "sweep.json"),
                               "--thetas", "0.5,3.0"]),
             ("gen-desk-seed5", ["gen", "--scale", "desk", "--seed", "5"]),
             ("desk-edge-file", ["experiment", "--config", str(edge_cfg)]),
@@ -211,12 +191,14 @@ def deviations(out_root: Path, other: Path, names: list[str]) -> list[str]:
     return lines
 
 
-def main_digests(keep: Path | None, against: Path | None) -> int:
+def main_digests(root: Path, keep: Path | None, against: Path | None) -> int:
+    from dkoopman.cli import main
+
     with tempfile.TemporaryDirectory(prefix="output_digests.") as tmp:
         tmp = Path(tmp)
         out_root = tmp / "runs" if keep is None else keep.resolve()
         lines, names = [], []
-        for run, argv in runs(tmp, out_root):
+        for run, argv in runs(root / "configs", tmp, out_root):
             out = out_root / run
             with contextlib.redirect_stdout(sys.stderr):
                 rc = main(argv + ["--out", str(out)])
@@ -234,5 +216,26 @@ def main_digests(keep: Path | None, against: Path | None) -> int:
     return 0
 
 
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).parents[1],
+                        help="checkout whose src and configs are run (default: this one)")
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="write the runs under DIR/<run>/ and leave them there")
+    parser.add_argument("--against", type=Path, metavar="OTHER",
+                        help="list how each output differs from OTHER/<run>/<file>")
+    args = parser.parse_args(argv)
+    if args.keep is not None and args.keep.exists() and any(args.keep.iterdir()):
+        parser.error(f"--keep directory {args.keep} is not empty")
+    # before the package, and so numpy, loads: the digests must not depend
+    # on the thread count, and nothing is written inside the checkout
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.dont_write_bytecode = True
+    root = args.checkout.resolve()
+    sys.path.insert(0, str(root / "src"))
+    return main_digests(root, args.keep, args.against)
+
+
 if __name__ == "__main__":
-    sys.exit(main_digests(_args.keep, _args.against))
+    sys.exit(main())

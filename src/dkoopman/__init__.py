@@ -3,8 +3,8 @@
 from .consensus import (AgentState, Partition, ReducedStates, RunTrace, SolverGains,
                         SpectralReport, Start, compute_alpha_max, compute_rho_max,
                         initial_states, iterate_rounds, kkt_residual, manual_gains,
-                        partition_data, resolve_alpha, run, semi_hurwitz_check,
-                        spectral_report, step, tail_contraction)
+                        partition_data, run, semi_hurwitz_check, spectral_report, step,
+                        tail_contraction)
 from .edmd import (Dictionary, KoopmanModel, LiftedData, SnapshotSequence,
                    centralized_solve, fit_metric, lift, monomial_dictionary,
                    objective, parse_dictionary, radial_dictionary, rollout,

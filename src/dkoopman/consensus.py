@@ -135,6 +135,8 @@ class Start:
     def __post_init__(self):
         if self.mode not in ("zeros", "random"):
             raise ValueError(f"unknown init mode {self.mode!r}; use 'zeros' or 'random'")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def operators(self, p: int, n: int) -> Iterator[np.ndarray] | None:
         """The n x n start operators K_1(0)..K_p(0), drawn as they are
@@ -157,7 +159,7 @@ class SolverGains:
 
     Exactly one of ``alpha`` (explicit step size, any positive value, used
     for divergence studies too) and ``alpha_fraction`` (theta in (0, 1),
-    resolved against alpha_max from a fresh spectral report) must be set.
+    resolved by :meth:`SpectralReport.step_size` before a run) must be set.
     Each error message starts with the name of the offending field.
     """
 
@@ -207,11 +209,18 @@ class SpectralReport:
     spectrum_M_tilde: Spectrum
     spectrum_M: Spectrum
     alpha_max: float
-    n_zero: int
-    semi_hurwitz: bool
     rank: int
     n_zero_structural: int
     n_unresolved_predicted: int
+
+    @property
+    def n_zero(self) -> int:
+        return self.spectrum_M_tilde.n_zero
+
+    @property
+    def semi_hurwitz(self) -> bool:
+        """True in every report: :func:`compute_alpha_max` refuses the others."""
+        return semi_hurwitz_check(self.spectrum_M_tilde)
 
     @property
     def n_unresolved(self) -> int:
@@ -381,34 +390,10 @@ def spectral_report(part: Partition, data: LiftedData, L: np.ndarray,
         spectrum_M_tilde=spec_t,
         spectrum_M=Spectrum(vals, tol_M),
         alpha_max=compute_alpha_max(spec_t),
-        n_zero=spec_t.n_zero,
-        semi_hurwitz=semi_hurwitz_check(spec_t),
         rank=r,
         n_zero_structural=2 * n - r,
         n_unresolved_predicted=int(np.sum(sigma**2 / p <= tol_t)),
     )
-
-
-def resolve_alpha(gains: SolverGains, part: Partition, data: LiftedData,
-                  L: np.ndarray) -> float:
-    """Concrete step size: explicit alpha, or alpha_fraction * alpha_max."""
-    if gains.alpha is not None:  # no spectral report needed
-        return gains.alpha
-    return spectral_report(part, data, L, gains.k_P, gains.k_I).step_size(gains)
-
-
-def _check_states(states, part, data, graph):
-    """A sequence of agent states, or a :class:`Start`, fits the instance."""
-    count = graph.p if isinstance(states, Start) else len(states)
-    if count != graph.p or part.p != graph.p:
-        raise ValueError(
-            f"got {count} states, partition p={part.p}, graph p={graph.p}")
-    if isinstance(states, Start):
-        return
-    n = data.feature_dim
-    for s in states:
-        if s.K.shape != (n, n):
-            raise ValueError(f"state shape {s.K.shape} != ({n}, {n})")
 
 
 # A chunk keeps its rounds and their diagnostics within this many bytes, so
@@ -463,8 +448,8 @@ class _Reduced:
     every nonzero start, whose n or more start columns leave nothing to
     save, H is None and d = n.
 
-    The start is a :class:`Start` or a sequence of agent states, whose
-    K_i(0) and R_i(0) are only read.  A zero ``Start`` forms no n x n
+    The start is a :class:`Start` or a sequence of p n x n agent states, only
+    read; the gains need an explicit alpha.  A zero ``Start`` forms no n x n
     array; a random one draws its K_i(0) one agent at a time, as
     :func:`initial_states` does, and each is dropped once it is reduced.
 
@@ -481,19 +466,27 @@ class _Reduced:
     Z_W is the first p rows' b*d columns, the only part a Gram touches.
     """
 
-    def __init__(self, init, graph: Graph, part: Partition, data: LiftedData,
-                 k_P: float, k_I: float, alpha: float):
-        B = range_basis(data.X)
-        n, b = B.shape
-        p = graph.p
+    def __init__(self, init, graph: Graph, gains: SolverGains, part: Partition,
+                 data: LiftedData):
+        k_P, k_I, alpha = gains.k_P, gains.k_I, gains.alpha
+        if alpha is None:
+            raise StepSizeError("alpha_fraction is unresolved; use SpectralReport.step_size")
+        p, n = graph.p, data.feature_dim
         if isinstance(init, Start):  # M_1..M_2p: the K_j(0), then the zero R_j(0)
-            K = init.operators(p, n)
+            count, K = p, init.operators(p, n)
             mats = None if K is None else chain(K, repeat(np.zeros((n, n)), p))
         else:
             states = list(init)
+            count = len(states)
+            if any(s.K.shape != (n, n) for s in states):
+                raise ValueError(f"state shapes {[s.K.shape for s in states]} != ({n}, {n})")
             mats = (*(s.K for s in states), *(s.R for s in states))
             if not any(M.any() for M in mats):
                 mats = None
+        if count != p or part.p != p:
+            raise ValueError(f"got {count} states, partition p={part.p}, graph p={p}")
+        B = range_basis(data.X)
+        b = B.shape[1]
         H = np.linalg.qr(data.Y)[0] if mats is None and data.num_samples < n else None
         d = n if H is None else H.shape[1]
         self.Phi = None
@@ -517,12 +510,13 @@ class _Reduced:
         # cost about a microsecond more each
         self.XtT, self.YhT = self.Xt.T.copy(), Yh.T.copy()
         blocks = [(B.T @ Xi, Yi if H is None else H.T @ Yi) for Xi, Yi in part.blocks(data)]
-        self.G = alpha * np.stack([Xi @ Xi.T for Xi, _ in blocks])
-        self.C = alpha * np.stack([Xi @ Yi.T for Xi, Yi in blocks])
         L, eye = laplacian(graph), np.eye(p)
-        self.P = np.eye(2 * p) + alpha * np.block([[-k_P * L, -k_I * eye],
-                                                   [L, np.zeros((p, p))]])
-        self.P[p:, :p] = _integral_step(alpha, L) * L
+        with np.errstate(over="ignore"):  # alpha G_i or alpha L overflows: the first round diverges
+            self.G = alpha * np.stack([Xi @ Xi.T for Xi, _ in blocks])
+            self.C = alpha * np.stack([Xi @ Yi.T for Xi, Yi in blocks])
+            self.P = np.eye(2 * p) + alpha * np.block([[-k_P * L, -k_I * eye],
+                                                       [L, np.zeros((p, p))]])
+            self.P[p:, :p] = _integral_step(alpha, L) * L
 
     def views(self, Z) -> tuple[np.ndarray, np.ndarray]:
         """Z itself and its W block as (p, b, d); Z must be C-contiguous, or
@@ -559,6 +553,11 @@ class ReducedStates(Sequence):
 
     def __len__(self) -> int:
         return self._red.p
+
+    @property
+    def row_basis(self) -> np.ndarray | None:
+        """B = range(X) if no state has rows outside it, else None."""
+        return self._red.B if self._red.Phi is None else None
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -609,9 +608,8 @@ class RunTrace:
     ``mean_history`` (iterations, b, d) is the mean Wbar(t) of the W blocks
     of :class:`_Reduced`, Kbar(t) = H Wbar(t)^T B^T + Ubar(t), where the mean
     Ubar of the start's rows outside range(X) stays at its start value while
-    sum_i R_i stays zero.  ``row_basis`` is B = range(X) when every row of the
-    final states lies in it, and None when the start had rows outside it.
-    The history is None unless requested and within ``_HISTORY_BYTE_CAP``.
+    sum_i R_i stays zero.  The history is None unless requested and within
+    ``_HISTORY_BYTE_CAP``.
     """
 
     consensus_error: np.ndarray | None
@@ -623,13 +621,6 @@ class RunTrace:
     diverged: bool
     iterations: int
     mean_history: np.ndarray | None = None
-    row_basis: np.ndarray | None = None
-
-
-def _edge_disagreement(K, edges) -> float:
-    if not edges:
-        return 0.0
-    return max(float(np.linalg.norm(K[i] - K[j], "fro")) for i, j in edges)
 
 
 def kkt_residual(states, part: Partition, data: LiftedData, graph: Graph) -> float:
@@ -640,11 +631,15 @@ def kkt_residual(states, part: Partition, data: LiftedData, graph: Graph) -> flo
     the first-order optimality conditions of the consensus-constrained
     problem hold.
     """
-    _check_states(states, part, data, graph)
-    K = np.stack([s.K for s in states])
+    if isinstance(states, Start):
+        raise ValueError("kkt_residual needs agent states, not a Start")
+    K, n = np.stack([s.K for s in states]), data.feature_dim
+    if K.shape != (graph.p, n, n) or part.p != graph.p:
+        raise ValueError(f"got states {K.shape}, partition p={part.p}, graph p={graph.p}")
     Kbar = K.mean(axis=0)
     stationarity = float(np.linalg.norm((Kbar @ data.X - data.Y) @ data.X.T, "fro"))
-    return stationarity + _edge_disagreement(K, graph.edges)
+    return stationarity + max((float(np.linalg.norm(K[i] - K[j], "fro"))
+                               for i, j in graph.edges), default=0.0)
 
 
 def _incidence(graph: Graph) -> np.ndarray:
@@ -661,7 +656,7 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
 
     ``init`` is a :class:`Start` or a sequence of agent states; the final
     states come back as :class:`ReducedStates`, whose ``mean()`` is Kbar.
-    Requires a connected graph and all-zero integral states R_i(0).  Stops
+    Requires a connected graph, R_i(0) = 0 and an explicit alpha.  Stops
     early on convergence (consensus error and KKT residual both below
     ``gains.stop_tol``) or on divergence (any state norm exceeding 1e12
     times the initial data scale; reported through ``trace.diverged``, not
@@ -689,12 +684,9 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     """
     if not is_connected(graph):
         raise DisconnectedGraphError("solver requires a connected communication graph")
-    _check_states(init, part, data, graph)
     if not isinstance(init, Start) and any(s.R.any() for s in init):
         raise ValueError("integral states must start at zero")
-    alpha = resolve_alpha(gains, part, data, laplacian(graph))
-    with np.errstate(over="ignore"):  # alpha G_i or alpha L overflows: the first round diverges
-        red = _Reduced(init, graph, part, data, gains.k_P, gains.k_I, alpha)
+    red = _Reduced(init, graph, gains, part, data)
     p, b, d, bd = red.p, red.b, red.d, red.b * red.d
     w = red.Z0.shape[1]  # b*d, plus the complement coefficients
     N, m, t_max = data.num_samples, len(graph.edges), gains.t_max
@@ -768,8 +760,7 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
 
     trace = RunTrace(*(np.concatenate(blocks, axis=1) if series else [None] * 5),
                      converged=converged, diverged=diverged, iterations=t,
-                     mean_history=mean_hist[:t] if record else None,
-                     row_basis=red.B if red.Phi is None else None)
+                     mean_history=mean_hist[:t] if record else None)
     return ReducedStates(red, buf[0].copy()), trace  # not a view that holds the chunk buffer
 
 
@@ -782,13 +773,9 @@ def iterate_rounds(states, graph: Graph, gains: SolverGains, part: Partition,
     prefix of a run with the same inputs.  Nonzero integral states R_i are
     allowed here.
     """
-    if gains.alpha is None:
-        raise StepSizeError(
-            "gains use alpha_fraction; resolve the step size first (see resolve_alpha)")
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
-    _check_states(states, part, data, graph)
-    red = _Reduced(states, graph, part, data, gains.k_P, gains.k_I, gains.alpha)
+    red = _Reduced(states, graph, gains, part, data)
     Z, out = red.Z0, np.empty_like(red.Z0)
     Zv, outv = red.views(Z), red.views(out)
     for _ in range(rounds):

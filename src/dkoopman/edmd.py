@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .linalg import DimensionError, as_matrix, pseudoinverse
+from .linalg import DimensionError, as_count, as_matrix, pseudoinverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,19 +97,23 @@ def parse_dictionary(spec: str, q: int, seed: int = 0) -> Dictionary:
 
     ``"vectorization"``, ``"monomial:<max_degree>"``, or
     ``"radial:<num_centers>:<width>"`` (centers drawn uniformly from
-    [0, 1]^q with the given seed).  A spec whose n x n arrays would exceed
-    ``MAX_MATRIX_BYTES`` is refused from its n before anything is built.
+    [0, 1]^q with the given seed), in ASCII without ``_``; the degree and
+    the center count are digits alone.  A spec whose n x n arrays would
+    exceed ``MAX_MATRIX_BYTES`` is refused from its n before anything is built.
     """
+    if not spec.isascii() or "_" in spec:  # int and float read other numerals and "_"
+        raise ValueError(f"dictionary spec {spec!r} is not ASCII without '_'")
     parts = spec.split(":")
     if parts[0] == "vectorization" and len(parts) == 1:
         return vectorization_dictionary(_feature_count(q))
     if parts[0] == "monomial" and len(parts) == 2:
-        degree = int(parts[1])
+        degree = as_count(parts[1], "monomial degree")
         _feature_count(comb(q + degree, degree) if degree > 0 else 1)
         return monomial_dictionary(q, degree)
     if parts[0] == "radial" and len(parts) == 3:
+        count = as_count(parts[1], "radial center count")
         rng = np.random.default_rng(seed)
-        centers = rng.uniform(0.0, 1.0, size=(_feature_count(int(parts[1])), q))
+        centers = rng.uniform(0.0, 1.0, size=(_feature_count(count), q))
         return radial_dictionary(centers, float(parts[2]))
     raise ValueError(f"cannot parse dictionary spec {spec!r}")
 

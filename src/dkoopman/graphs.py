@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import as_count
+
 
 class GraphError(ValueError):
     """Invalid graph construction (self-loop, out-of-range vertex, bad format)."""
@@ -110,18 +112,18 @@ def format_graph_text(graph: Graph) -> str:
 
 
 def parse_graph_text(text: str) -> Graph:
-    """Inverse of :func:`format_graph_text`."""
+    """Inverse of :func:`format_graph_text`, in ASCII digits alone."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise GraphError("empty graph file")
     try:
-        p = int(lines[0])
+        p = as_count(lines[0])
     except ValueError:
         raise GraphError(f"first line must be the vertex count, got {lines[0]!r}") from None
     edges = []
     for ln in lines[1:]:
         try:
-            i, j = map(int, ln.split())
+            i, j = map(as_count, ln.split())
         except ValueError:  # not two integers
             raise GraphError(f"edge line must be 'i j', got {ln!r}") from None
         edges.append((i, j))

@@ -40,6 +40,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def as_count(text: str, name: str = "count") -> int:
+    """``int(text)`` of ASCII digits alone: no sign, ``_`` or other numerals."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{name} must be ASCII digits, got {text!r}")
+    return int(text)
+
+
 def frobenius_norm(a) -> float:
     """sqrt(trace(A^T A)); zero exactly when A is the zero matrix."""
     return float(np.linalg.norm(as_matrix(a), "fro"))

@@ -243,7 +243,6 @@ class ExperimentReport:
     rollout_error: np.ndarray
     spectral: SpectralReport
     alpha: float
-    instance: Instance
 
     @property
     def alpha_max(self) -> float:
@@ -298,6 +297,7 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
     states, trace = run(Start(init_mode, init_seed), inst.graph, manual_gains(gains, alpha),
                         inst.partition, inst.data)
     K_ave = KoopmanModel(states.mean())  # no agent's n x n state is formed
+    row_basis = states.row_basis
     del states
 
     K_star = centralized_solve(inst.data, rank_tol)
@@ -317,11 +317,10 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
         K_ave=K_ave,
         # the rows of K* = Y pinv(X) lie in the range pinv inverts, those of K_ave in B
         spectrum_K_star=_operator_spectrum(K_star.K, range_basis(inst.data.X, rank_tol)),
-        spectrum_K_ave=_operator_spectrum(K_ave.K, trace.row_basis),
+        spectrum_K_ave=_operator_spectrum(K_ave.K, row_basis),
         diff_matrix=np.abs(K_ave.K - K_star.K),
         trace=trace,
         rollout_error=rollout_error,
         spectral=spectral,
         alpha=alpha,
-        instance=inst,
     )

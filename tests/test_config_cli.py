@@ -263,6 +263,10 @@ class TestExperimentCommand:
         ({"dictionary": "radial:2:nan"}, "dictionary"),
         ({"dictionary": "radial:3:1e200"}, "dictionary"),  # 2 * width**2 overflows
         ({"dictionary": "radial:3:1e-200"}, "dictionary"),  # 2 * width**2 underflows to 0
+        ({"dictionary": "monomial:\u0663"}, "dictionary"),  # numbers are ASCII digits only
+        ({"dictionary": "monomial:+1"}, "dictionary"),
+        ({"dictionary": "radial:3:1_0.5"}, "dictionary"),
+        ({"dictionary": "radial:\u0663:\u0660.\u0665"}, "dictionary"),
         ({"t_max": 0}, "t_max"),  # the SolverGains rules, named by their config path
         ({"stop_tol": -1.0}, "stop_tol"),
         ({"gains": {"theta": 1.5}}, "gains.theta"),
@@ -363,7 +367,10 @@ class TestExperimentCommand:
         (None, b"3\n0 x\n"),
         (b'{"t_max": 5, "dictionary": "\xff"}', None),
         (None, b"3\n0 1\n1 \xff\n"),
-    ], ids=["edge line not two integers", "config not UTF-8", "edge file not UTF-8"])
+        (None, "3\n0 1\n1 \u0662\n".encode()),
+        (None, b"+3\n0 1\n1 2\n"),
+    ], ids=["edge line not two integers", "config not UTF-8", "edge file not UTF-8",
+            "vertex id not ASCII", "signed vertex count"])
     def test_malformed_file_exit_2(self, tmp_path, capsys, config_bytes, graph_bytes):
         graph_path = tmp_path / "g.txt"
         graph_path.write_bytes(graph_bytes or b"3\n0 1\n1 2\n")

@@ -11,8 +11,7 @@ from dkoopman.consensus import (DIVERGENCE_GUARD, AgentState, NotSemiHurwitzErro
                                 SolverGains, StepSizeError, assemble_M, assemble_M_tilde,
                                 assemble_block_X, compute_alpha_max, compute_rho_max,
                                 initial_states, iterate_rounds, kkt_residual,
-                                manual_gains, partition_data, ReducedStates,
-                                resolve_alpha, run,
+                                manual_gains, partition_data, ReducedStates, run,
                                 semi_hurwitz_check, spectral_report, Start, step,
                                 tail_contraction, _quadratic_roots, _Reduced)
 from dkoopman.edmd import LiftedData, centralized_solve
@@ -28,6 +27,12 @@ from test_graphs import random_graph
 def make_data(rng, n, widths):
     N = sum(widths)
     return LiftedData(X=rng.standard_normal((n, N)), Y=rng.standard_normal((n, N)))
+
+
+def explicit(gains, part, data, graph):
+    """``gains`` with the step size a spectral report resolves for them."""
+    rep = spectral_report(part, data, laplacian(graph), gains.k_P, gains.k_I)
+    return manual_gains(gains, rep.step_size(gains))
 
 
 def worked_instance():
@@ -321,7 +326,8 @@ class TestRun:
         K_true, data, part, graph = self._instance()
         gains = SolverGains(k_P=2.0, k_I=1.0, alpha_fraction=0.5,
                             t_max=60000, stop_tol=1e-12)
-        states, trace = run(initial_states(2, 3), graph, gains, part, data)
+        states, trace = run(initial_states(2, 3), graph, explicit(gains, part, data, graph),
+                            part, data)
         assert trace.converged and not trace.diverged
         for s in states:
             assert np.linalg.norm(s.K - K_true) <= 1e-8
@@ -331,12 +337,10 @@ class TestRun:
         data = make_data(rng, 2, [8])
         part = partition_data(data, [8])
         graph = build_graph(1, [])
-        lap = laplacian(graph)
-        gains = SolverGains(k_P=1.0, k_I=1.0, alpha_fraction=0.5, t_max=100,
-                            stop_tol=0.0)
-        alpha = resolve_alpha(gains, part, data, lap)
-        states, trace = run(initial_states(1, 2), graph, manual_gains(gains, alpha),
-                            part, data)
+        gains = explicit(SolverGains(k_P=1.0, k_I=1.0, alpha_fraction=0.5, t_max=100,
+                                     stop_tol=0.0), part, data, graph)
+        alpha = gains.alpha
+        states, trace = run(initial_states(1, 2), graph, gains, part, data)
         K = np.zeros((2, 2))
         A = np.eye(2) - alpha * (data.X @ data.X.T)
         B = alpha * (data.Y @ data.X.T)
@@ -346,8 +350,8 @@ class TestRun:
 
     def test_determinism_bit_identical(self):
         _, data, part, graph = self._instance(seed=13)
-        gains = SolverGains(k_P=2.0, k_I=1.0, alpha_fraction=0.3, t_max=500,
-                            stop_tol=1e-9)
+        gains = explicit(SolverGains(k_P=2.0, k_I=1.0, alpha_fraction=0.3, t_max=500,
+                                     stop_tol=1e-9), part, data, graph)
         s1, t1 = run(initial_states(2, 3, "random", seed=5), graph, gains, part, data)
         s2, t2 = run(initial_states(2, 3, "random", seed=5), graph, gains, part, data)
         assert np.array_equal(t1.kkt_residual, t2.kkt_residual)
@@ -379,8 +383,8 @@ class TestRun:
 
     def test_integral_sum_stays_zero(self):
         _, data, part, graph = self._instance(seed=17)
-        gains = SolverGains(k_P=2.0, k_I=1.0, alpha_fraction=0.5, t_max=20000,
-                            stop_tol=1e-11)
+        gains = explicit(SolverGains(k_P=2.0, k_I=1.0, alpha_fraction=0.5, t_max=20000,
+                                     stop_tol=1e-11), part, data, graph)
         _, trace = run(initial_states(2, 3, "random", 3), graph, gains, part, data)
         scale = np.linalg.norm(data.Y) * np.linalg.norm(data.X)
         t = np.arange(1, trace.iterations + 1)
@@ -400,7 +404,7 @@ class TestRun:
         gains = SolverGains(k_P=2.0, k_I=1.0, alpha=0.005, t_max=50, stop_tol=0.0)
         init = initial_states(2, 3)
         _, trace = run(init, graph, gains, part, data, record_mean=True)
-        red = _Reduced(init, graph, part, data, gains.k_P, gains.k_I, gains.alpha)
+        red = _Reduced(init, graph, gains, part, data)
         assert trace.iterations == 50
         assert trace.mean_history.shape == (50, red.b, red.d)
         for series in (trace.consensus_error, trace.objective_mean, trace.fit_metric,
@@ -408,7 +412,50 @@ class TestRun:
             assert series.shape == (50,)
 
 
+@pytest.mark.parametrize("case, error, match", [
+    ("alpha_fraction", StepSizeError, "SpectralReport.step_size"),
+    ("state count", ValueError, "got 3 states"),
+    ("state shape", ValueError, r"state shapes \[\(2, 2\), \(2, 2\)\]"),
+])
+@pytest.mark.parametrize("entry", ["run", "iterate_rounds"])
+def test_one_contract_for_both_entry_points(entry, case, error, match):
+    data, part, graph = worked_instance()  # p = 2, n = 1
+    gains = SolverGains(k_P=1.0, k_I=1.0, alpha=0.1, t_max=5)
+    init = initial_states(2, 1)
+    if case == "alpha_fraction":
+        gains = SolverGains(k_P=1.0, k_I=1.0, alpha_fraction=0.5, t_max=5)
+    elif case == "state count":
+        init = initial_states(3, 1)
+    else:
+        init = initial_states(2, 2)
+    with pytest.raises(error, match=match) as refused:
+        if entry == "run":
+            run(init, graph, gains, part, data)
+        else:
+            iterate_rounds(init, graph, gains, part, data, 5)
+    assert refused.type is error
+
+
+def test_overflowing_step_size_sets_up_alike():
+    # alpha G_i and alpha k_P L overflow; both entry points build the set-up
+    # without a warning, and the first round of the run diverges
+    data = LiftedData(X=np.array([[10.0, 10.0]]), Y=np.array([[1.0, 1.0]]))
+    part, graph = partition_data(data, [1, 1]), preset_graph("complete", 2)
+    gains = SolverGains(k_P=10.0, k_I=1.0, alpha=1e308, t_max=5, stop_tol=0.0)
+    _, trace = run(Start(), graph, gains, part, data)
+    assert trace.diverged and trace.iterations == 1
+    states = iterate_rounds(Start(), graph, gains, part, data, 0)
+    assert not any(s.K.any() or s.R.any() for s in states)
+
+
 class TestKktResidual:
+    def test_refuses_a_start_and_a_wrong_count(self):
+        data, part, graph = worked_instance()
+        with pytest.raises(ValueError, match="needs agent states"):
+            kkt_residual(Start(), part, data, graph)
+        with pytest.raises(ValueError, match=r"got states \(3, 1, 1\)"):
+            kkt_residual(initial_states(3, 1), part, data, graph)
+
     def test_zero_at_centralized_optimum(self):
         rng = np.random.default_rng(20)
         data = make_data(rng, 3, [3, 3])
@@ -433,8 +480,8 @@ class TestKktResidual:
         data = make_data(rng, 2, [5, 5, 5])
         part = partition_data(data, [5, 5, 5])
         graph = preset_graph("ring", 3)
-        gains = SolverGains(k_P=2.0, k_I=1.0, alpha_fraction=0.5, t_max=60000,
-                            stop_tol=1e-10)
+        gains = explicit(SolverGains(k_P=2.0, k_I=1.0, alpha_fraction=0.5, t_max=60000,
+                                     stop_tol=1e-10), part, data, graph)
         states, trace = run(initial_states(3, 2), graph, gains, part, data)
         assert trace.converged
         assert kkt_residual(states, part, data, graph) <= gains.stop_tol
@@ -466,9 +513,8 @@ class TestSpectralReport:
 
     def test_resolve_alpha_fraction(self):
         data, part, graph = worked_instance()
-        lap = laplacian(graph)
         gains = SolverGains(k_P=1.0, k_I=1.0, alpha_fraction=0.25)
-        assert resolve_alpha(gains, part, data, lap) == pytest.approx(0.25, abs=1e-9)
+        assert explicit(gains, part, data, graph).alpha == pytest.approx(0.25, abs=1e-9)
 
     def test_step_size_explicit_or_fraction_of_alpha_max(self):
         inst = build_instance(GridScenario(grid_side=4, seed=5, burn_in=0))
@@ -758,12 +804,12 @@ class TestReducedKernel:
             out = iterate_rounds(states, graph, gains, part, data, rounds)
         else:
             out, trace = run(states, graph, gains, part, data, record_mean=True)
-            red = _Reduced(states, graph, part, data, k_P, k_I, alpha)
+            red = _Reduced(states, graph, gains, part, data)
             assert np.array_equal(red.B, range_basis(data.X))
             if red.Phi is None:
-                assert np.array_equal(trace.row_basis, red.B)
+                assert np.array_equal(out.row_basis, red.B)
             else:
-                assert trace.row_basis is None
+                assert out.row_basis is None
             path = _reduced_path(red, rounds)
             assert np.array_equal(path[-1], _stacked(out))  # the rounds ``run`` made
             sizes = sum(np.linalg.norm(dense[name].reshape(rounds, -1), axis=1) for name in "KR")
@@ -817,8 +863,7 @@ class TestReducedKernel:
         gains = SolverGains(k_P=5.0, k_I=2.0, alpha=0.5 * rep.alpha_max, t_max=20000,
                             stop_tol=1e-10)
         init = initial_states(agents, inst.data.feature_dim)
-        red = _Reduced(init, inst.graph, inst.partition, inst.data, gains.k_P, gains.k_I,
-                       gains.alpha)
+        red = _Reduced(init, inst.graph, gains, inst.partition, inst.data)
         assert not red.P[agents:, :agents].sum(axis=0).any()
         _, trace = run(init, inst.graph, gains, inst.partition, inst.data)
         _, _, dense = dense_run(*_stacked(init), inst.graph, gains, inst.partition, inst.data)
@@ -923,7 +968,7 @@ class TestChunkedRun:
         alpha = 0.5 * spectral_report(part, data, laplacian(graph), 2.0, 1.0).alpha_max
         gains = SolverGains(k_P=2.0, k_I=1.0, alpha=alpha, t_max=100, stop_tol=0.0)
         states = [AgentState(K0[i], np.zeros((12, 12))) for i in range(2)]
-        red = _Reduced(states, graph, part, data, 2.0, 1.0, alpha)
+        red = _Reduced(states, graph, gains, part, data)
         assert np.array_equal(red.B, range_basis(data.X)) and red.G.shape == (2, r, r)
         if init == "zeros":
             assert red.H.shape == (12, 3) and red.Z0.shape == (2 * 2, r * 3)
@@ -944,8 +989,8 @@ class TestChunkedRun:
     def test_no_left_basis_when_n_at_most_N(self):
         data, part, graph, _ = _structural_case(3, 4, [2, 1, 2], 4, 32)
         K0 = np.random.default_rng(32).standard_normal((3, 4, 4))
-        red = _Reduced([AgentState(K, np.zeros((4, 4))) for K in K0], graph, part, data,
-                       1.0, 1.0, 0.01)
+        red = _Reduced([AgentState(K, np.zeros((4, 4))) for K in K0], graph,
+                       SolverGains(k_P=1.0, k_I=1.0, alpha=0.01), part, data)
         assert red.H is None and red.Phi is None and red.Z0.shape == (2 * 3, 4 * 4)
 
     def test_one_round_chunks(self, monkeypatch):
@@ -976,8 +1021,7 @@ class TestChunkedRun:
         _, trace = run(init, inst.graph, gains, inst.partition, inst.data,
                        record_mean=True)
         assert trace.mean_history.shape == (100, 16, 16)  # r = n: b = d = 16
-        red = _Reduced(init, inst.graph, inst.partition, inst.data, gains.k_P, gains.k_I,
-                       gains.alpha)
+        red = _Reduced(init, inst.graph, gains, inst.partition, inst.data)
         history = _lifted(trace.mean_history, red)
         for t in (1, 16, 17, 32, 33, 64, 65, 100):
             out = iterate_rounds(init, inst.graph, gains, inst.partition, inst.data, t)
@@ -993,9 +1037,10 @@ class TestChunkedRun:
         gains = SolverGains(k_P=5.0, k_I=2.0, alpha=0.5 * rep.alpha_max, t_max=200,
                             stop_tol=0.0)
         init = initial_states(3, 16, "random", 1)
-        _, trace = run(init, inst.graph, gains, inst.partition, inst.data, record_mean=True)
+        states, trace = run(init, inst.graph, gains, inst.partition, inst.data,
+                            record_mean=True)
         _, _, dense = dense_run(*_stacked(init), inst.graph, gains, inst.partition, inst.data)
-        assert trace.row_basis is None and trace.mean_history.shape == (200, rep.rank, 16)
+        assert states.row_basis is None and trace.mean_history.shape == (200, rep.rank, 16)
         expected = tail_contraction(dense["mean"])
         assert abs(tail_contraction(trace.mean_history) - expected) <= 1e-10 * expected
 
@@ -1004,7 +1049,7 @@ class TestChunkedRun:
         # M's block on the complement of range(X)
         data, part, graph, _ = _structural_case(4, 5, [1, 1, 2, 1], 2, 33)
         L = laplacian(graph)
-        red = _Reduced(Start(), graph, part, data, 3.0, 1.5, 0.02)
+        red = _Reduced(Start(), graph, SolverGains(k_P=3.0, k_I=1.5, alpha=0.02), part, data)
         M_perp = np.block([[-3.0 * L, L], [-1.5 * np.eye(4), np.zeros((4, 4))]])
         assert np.array_equal(red.P, np.eye(8) + 0.02 * M_perp.T)
 
@@ -1110,8 +1155,9 @@ class TestStart:
         args = (inst.graph, gains, inst.partition, inst.data)
         states, trace = run(Start(mode, seed), *args, record_mean=True)
         ref_states, ref = run(initial_states(3, 16, mode, seed), *args, record_mean=True)
-        for name in _SERIES + ("mean_history", "row_basis"):
+        for name in _SERIES + ("mean_history",):
             assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
+        assert np.array_equal(states.row_basis, ref_states.row_basis)
         rounds = iterate_rounds(Start(mode, seed), *args, 70)
         ref_rounds = iterate_rounds(initial_states(3, 16, mode, seed), *args, 70)
         for out, expected in ((states, ref_states), (rounds, ref_rounds), (rounds, states)):
@@ -1128,6 +1174,13 @@ class TestStart:
         assert made == []
         states[0]
         assert len(made) == 1
+
+    @pytest.mark.parametrize("mode", ["zeros", "random"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_must_be_a_nonnegative_integer(self, mode, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            Start(mode, seed)
+        assert Start(mode, np.int64(3)).seed == 3
 
     def test_partition_must_match_graph(self):
         inst = _desk_instance()
@@ -1154,7 +1207,7 @@ class TestReducedStates:
         data, part, graph, _ = _structural_case(3, 12, [1, 2, 1], 3, seed)
         gains = SolverGains(k_P=2.0, k_I=1.0, alpha=0.01, t_max=200, stop_tol=0.0)
         states, _ = run(Start(), graph, gains, part, data)
-        red = _Reduced(Start(), graph, part, data, 2.0, 1.0, 0.01)
+        red = _Reduced(Start(), graph, gains, part, data)
         assert red.H is not None and red.d < 12
         self._mean_matches(states)
 
@@ -1172,8 +1225,8 @@ class TestReducedStates:
         # r = 3 < n = 12: the start's rows outside range(X) ride along
         data, part, graph, _ = _structural_case(3, 12, [2, 2, 2], 3, seed)
         gains = SolverGains(k_P=2.0, k_I=1.0, alpha=0.01, t_max=200, stop_tol=0.0)
-        states, trace = run(Start("random", seed), graph, gains, part, data)
-        assert trace.row_basis is None
+        states, _ = run(Start("random", seed), graph, gains, part, data)
+        assert states.row_basis is None
         self._mean_matches(states)
 
     def test_diverged_run(self):

@@ -63,6 +63,19 @@ class TestDictionaries:
         with pytest.raises(ValueError, match="n = 80601 features"):
             parse_dictionary("monomial:2", 400)
 
+    # int and float read other scripts' digits, a sign and "_"; a spec does not
+    @pytest.mark.parametrize("spec", ["monomial:\u0663", "monomial:+1", "monomial: 1",
+                                      "radial:3:1_0.5", "radial:\u0663:\u0660.\u0665",
+                                      "radial:+3:0.5", "radial:3:\u0660.\u0665"])
+    def test_parse_numbers_are_ascii(self, spec):
+        with pytest.raises(ValueError, match="ASCII"):
+            parse_dictionary(spec, 2)
+
+    def test_parse_width_in_exponent_form(self):
+        assert parse_dictionary("radial:3:1e2", 2).width == 100.0
+        with pytest.raises(ValueError, match="width\\*\\*2 positive and finite"):
+            parse_dictionary("radial:3:1e200", 2)
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_dictionary("fourier:2", 3)

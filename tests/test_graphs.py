@@ -140,6 +140,13 @@ class TestTextFormat:
         g = parse_graph_text("3\n0 1\n1 2\n")
         assert g.p == 3 and g.edges == ((0, 1), (1, 2))
 
+    # int reads other scripts' digits, a sign and "_"; the text format does not
+    @pytest.mark.parametrize("text", ["3\n1 \u0662\n", "+3\n0 1\n", "\u0663\n0 1\n",
+                                      "3\n0 +1\n", "3\n0 1_0\n"])
+    def test_parse_numbers_are_ascii(self, text):
+        with pytest.raises(GraphError):
+            parse_graph_text(text)
+
     def test_parse_errors(self):
         with pytest.raises(GraphError):
             parse_graph_text("")

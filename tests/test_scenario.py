@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dkoopman.consensus import SolverGains, initial_states, manual_gains, \
+from dkoopman.consensus import SolverGains, Start, initial_states, manual_gains, \
     partition_data, run, spectral_report
 from dkoopman.edmd import SnapshotSequence, centralized_solve, lift, \
     vectorization_dictionary
@@ -251,7 +251,11 @@ class TestExperiment:
         gains = SolverGains(k_P=5.0, k_I=2.0, alpha_fraction=0.5, t_max=50, stop_tol=0.0)
         report = make_experiment(scn, gains, rollout_steps=2, init_mode="random",
                                  init_seed=1)
-        assert report.spectral.rank < scn.feature_dim and report.trace.row_basis is None
+        assert report.spectral.rank < scn.feature_dim
+        inst = build_instance(scn)
+        states, _ = run(Start("random", 1), inst.graph, manual_gains(gains, report.alpha),
+                        inst.partition, inst.data)
+        assert states.row_basis is None
         assert np.array_equal(report.spectrum_K_ave, eigenvalues(report.K_ave.K).eigenvalues)
 
     def test_graph_object_accepted(self):
