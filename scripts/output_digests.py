@@ -192,7 +192,7 @@ def deviations(out_root: Path, other: Path, names: list[str]) -> list[str]:
 
 
 def main_digests(root: Path, keep: Path | None, against: Path | None) -> int:
-    from dkoopman.cli import main
+    from dkoopman.cli import main as cli_main
 
     with tempfile.TemporaryDirectory(prefix="output_digests.") as tmp:
         tmp = Path(tmp)
@@ -201,7 +201,7 @@ def main_digests(root: Path, keep: Path | None, against: Path | None) -> int:
         for run, argv in runs(root / "configs", tmp, out_root):
             out = out_root / run
             with contextlib.redirect_stdout(sys.stderr):
-                rc = main(argv + ["--out", str(out)])
+                rc = cli_main(argv + ["--out", str(out)])
             if rc != 0:
                 print(f"{run}: exit {rc}", file=sys.stderr)
                 return 1

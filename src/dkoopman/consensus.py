@@ -476,11 +476,10 @@ class _Reduced:
             count, K = p, init.operators(p, n)
             mats = None if K is None else chain(K, repeat(np.zeros((n, n)), p))
         else:
-            states = list(init)
-            count = len(states)
-            if any(s.K.shape != (n, n) for s in states):
-                raise ValueError(f"state shapes {[s.K.shape for s in states]} != ({n}, {n})")
-            mats = (*(s.K for s in states), *(s.R for s in states))
+            count = len(init)
+            if any(s.K.shape != (n, n) for s in init):
+                raise ValueError(f"state shapes {[s.K.shape for s in init]} != ({n}, {n})")
+            mats = (*(s.K for s in init), *(s.R for s in init))
             if not any(M.any() for M in mats):
                 mats = None
         if count != p or part.p != p:

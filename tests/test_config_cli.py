@@ -263,15 +263,15 @@ class TestExperimentCommand:
         ({"dictionary": "radial:2:nan"}, "dictionary"),
         ({"dictionary": "radial:3:1e200"}, "dictionary"),  # 2 * width**2 overflows
         ({"dictionary": "radial:3:1e-200"}, "dictionary"),  # 2 * width**2 underflows to 0
-        ({"dictionary": "monomial:\u0663"}, "dictionary"),  # numbers are ASCII digits only
-        ({"dictionary": "monomial:+1"}, "dictionary"),
-        ({"dictionary": "radial:3:1_0.5"}, "dictionary"),
-        ({"dictionary": "radial:\u0663:\u0660.\u0665"}, "dictionary"),
         ({"t_max": 0}, "t_max"),  # the SolverGains rules, named by their config path
         ({"stop_tol": -1.0}, "stop_tol"),
         ({"gains": {"theta": 1.5}}, "gains.theta"),
         ({"gains": {"alpha": -1.0}}, "gains.alpha"),
         ({"gains": {"k_I": 0.0}}, "gains.k_I"),
+        ({"dictionary": "monomial:\u0663"}, "dictionary"),  # numbers are ASCII digits only
+        ({"dictionary": "monomial:+1"}, "dictionary"),
+        ({"dictionary": "radial:3:1_0.5"}, "dictionary"),
+        ({"dictionary": "radial:\u0663:\u0660.\u0665"}, "dictionary"),
     ])
     def test_malformed_leaf_exit_2(self, tmp_path, capsys, cfg, where):
         path = write_config(tmp_path, cfg)

@@ -416,6 +416,7 @@ class TestRun:
     ("alpha_fraction", StepSizeError, "SpectralReport.step_size"),
     ("state count", ValueError, "got 3 states"),
     ("state shape", ValueError, r"state shapes \[\(2, 2\), \(2, 2\)\]"),
+    ("one-shot iterator", TypeError, "has no len"),  # the states are read more than once
 ])
 @pytest.mark.parametrize("entry", ["run", "iterate_rounds"])
 def test_one_contract_for_both_entry_points(entry, case, error, match):
@@ -426,8 +427,10 @@ def test_one_contract_for_both_entry_points(entry, case, error, match):
         gains = SolverGains(k_P=1.0, k_I=1.0, alpha_fraction=0.5, t_max=5)
     elif case == "state count":
         init = initial_states(3, 1)
-    else:
+    elif case == "state shape":
         init = initial_states(2, 2)
+    else:
+        init = iter(init)
     with pytest.raises(error, match=match) as refused:
         if entry == "run":
             run(init, graph, gains, part, data)
