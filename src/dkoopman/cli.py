@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dataio
 from .config import ConfigError, RunConfig, from_dict, load_config, to_dict
-from .consensus import (NotSemiHurwitzError, Start, iterate_rounds, manual_gains, run,
+from .consensus import (NotSemiHurwitzError, iterate_rounds, manual_gains, run,
                         spectral_report, tail_contraction)
 from .edmd import LiftedData, centralized_solve
 from .graphs import DisconnectedGraphError, Graph, GraphError, laplacian, parse_graph_text
@@ -64,8 +64,7 @@ def cmd_experiment(cfg: RunConfig) -> int:
                           graph_preset=_resolve_graph(cfg),
                           rollout_steps=cfg.rollout.steps,
                           rollout_start=cfg.rollout.start,
-                          dictionary_spec=cfg.dictionary,
-                          init_mode=cfg.init.mode, init_seed=cfg.init.seed,
+                          dictionary_spec=cfg.dictionary, init=cfg.init,
                           rank_tol=cfg.rank_tol)
     out = Path(cfg.out_dir)
     dataio.write_spectrum_csv(out / "spectrum_Kave.csv", rep.spectrum_K_ave)
@@ -105,12 +104,11 @@ def cmd_alpha_sweep(cfg: RunConfig) -> int:
     lap = laplacian(inst.graph)
     base = cfg.solver_gains()
     report = spectral_report(inst.partition, inst.data, lap, base.k_P, base.k_I)
-    init = Start(cfg.init.mode, cfg.init.seed)
 
     lines = ["theta,alpha,rho_max,converged,diverged,iterations,contraction"]
     for theta in cfg.sweep_thetas:
         alpha = theta * report.alpha_max
-        _, trace = run(init, inst.graph, manual_gains(base, alpha),
+        _, trace = run(cfg.init, inst.graph, manual_gains(base, alpha),
                        inst.partition, inst.data, record_mean=True, series=False)
         rho = report.rho_max(alpha)
         contraction = (tail_contraction(trace.mean_history)
@@ -144,13 +142,12 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     gains = manual_gains(base, alpha)
     reps = cfg.benchmark_repeats
     rounds = min(200, gains.t_max)
-    init = Start(cfg.init.mode, cfg.init.seed)
 
     # the full run first: a diverging step size would overflow the fixed rounds
     total_ms = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        _, trace = run(init, inst.graph, gains, inst.partition, inst.data)
+        _, trace = run(cfg.init, inst.graph, gains, inst.partition, inst.data)
         total_ms.append(1e3 * (time.perf_counter() - t0))
         if trace.diverged:
             return _divergence(trace.iterations, alpha, report.alpha_max)
@@ -164,7 +161,7 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     iter_ms = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        iterate_rounds(init, inst.graph, gains, inst.partition, inst.data, rounds)
+        iterate_rounds(cfg.init, inst.graph, gains, inst.partition, inst.data, rounds)
         iter_ms.append(1e3 * (time.perf_counter() - t0) / rounds)
 
     out = Path(cfg.out_dir)

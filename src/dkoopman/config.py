@@ -16,9 +16,9 @@ from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 from typing import Literal
 
-from .consensus import SolverGains
+from .consensus import SolverGains, Start
 from .edmd import parse_dictionary
-from .scenario import GridScenario
+from .scenario import GridScenario, Rollout
 
 
 class ConfigError(ValueError):
@@ -63,26 +63,6 @@ class GainsConfig:
 
 
 @dataclass(frozen=True)
-class InitConfig:
-    mode: Literal["zeros", "random"] = "zeros"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError("seed: must be nonnegative")
-
-
-@dataclass(frozen=True)
-class RolloutConfig:
-    steps: int = 10
-    start: Literal["last_train", "first_train"] = "last_train"
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError("steps: must be positive")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     scale: str
     scenario: GridScenario
@@ -90,8 +70,8 @@ class RunConfig:
     t_max: int
     stop_tol: float
     graph: GraphConfig = GraphConfig()
-    init: InitConfig = InitConfig()
-    rollout: RolloutConfig = RolloutConfig()
+    init: Start = Start()
+    rollout: Rollout = Rollout()
     dictionary: str = "vectorization"
     rank_tol: float | None = None
     out_dir: str = "out"
@@ -104,13 +84,13 @@ class RunConfig:
                                 seed=self.scenario.seed).output_dim < 1:
                 raise ValueError("the dictionary has no observables")
         except ValueError as exc:
-            raise ConfigError(f"dictionary: {exc}") from exc
+            raise ValueError(f"dictionary {exc}") from exc
         if self.rank_tol is not None and self.rank_tol < 0:
-            raise ConfigError("rank_tol: must be nonnegative")
+            raise ValueError("rank_tol must be nonnegative")
         if not self.sweep_thetas or any(v <= 0 for v in self.sweep_thetas):
-            raise ConfigError("sweep_thetas: needs one or more values, all positive")
+            raise ValueError("sweep_thetas needs one or more values, all positive")
         if self.benchmark_repeats < 1:
-            raise ConfigError("benchmark_repeats: must be positive")
+            raise ValueError("benchmark_repeats must be positive")
         self.solver_gains()  # dry run, like the dictionary's
 
     def solver_gains(self) -> SolverGains:
@@ -118,11 +98,9 @@ class RunConfig:
             return SolverGains(k_P=self.gains.k_P, k_I=self.gains.k_I,
                                alpha=self.gains.alpha, alpha_fraction=self.gains.theta,
                                t_max=self.t_max, stop_tol=self.stop_tol)
-        except ValueError as exc:  # its message starts with the offending field
-            field, _, rule = str(exc).partition(" ")
-            path = {"alpha_fraction": "gains.theta", "t_max": "t_max",
-                    "stop_tol": "stop_tol"}.get(field, f"gains.{field}")
-            raise ConfigError(f"{path}: {rule}") from exc
+        except ValueError as exc:  # three of its fields have other config paths
+            paths = {"alpha_fraction": "gains.theta", "t_max": "t_max", "stop_tol": "stop_tol"}
+            raise _named(exc, SolverGains, "gains.", paths) from exc
 
 
 def _expect(value, types, path: str):
@@ -164,12 +142,17 @@ def _parse(value, hint, path: str):
     return None if value is None else _parse(value, args[0], path)  # X | None
 
 
-def _build(cls, raw: dict, prefix: str):
-    """``cls`` from the JSON object at ``prefix``; its field defaults fill missing keys.
+def _named(exc: Exception, cls, prefix: str, paths: dict | None = None) -> ConfigError:
+    """``exc`` of ``cls`` at ``prefix``: a message that starts with a field names it
+    at ``paths[field]`` or below ``prefix``, any other is named by the object."""
+    field, _, rule = str(exc).partition(" ")
+    if field in _hints(cls):
+        return ConfigError(f"{(paths or {}).get(field, prefix + field)}: {rule}")
+    return ConfigError(f"{prefix[:-1] or 'config'}: {exc}")
 
-    A config class's own ConfigError names the field, below ``prefix``; any
-    other ValueError (GridScenario's) is named by the object's path.
-    """
+
+def _build(cls, raw: dict, prefix: str):
+    """``cls`` from the JSON object at ``prefix``; its field defaults fill missing keys."""
     hints = _hints(cls)
     unknown = raw.keys() - hints.keys()
     if unknown:
@@ -177,10 +160,10 @@ def _build(cls, raw: dict, prefix: str):
     kwargs = {key: _parse(value, hints[key], prefix + key) for key, value in raw.items()}
     try:
         return cls(**kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"{prefix}{exc}") from exc
+    except ConfigError:  # already named (RunConfig's dry run of its gains)
+        raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{prefix[:-1]}: {exc}") from exc
+        raise _named(exc, cls, prefix) from exc
 
 
 def from_dict(raw: dict) -> RunConfig:

@@ -40,6 +40,7 @@ import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
+from typing import Literal
 
 import numpy as np
 
@@ -127,15 +128,17 @@ class Start:
 
     :func:`run` and :func:`iterate_rounds` take a ``Start`` in place of a
     sequence of agent states, and a zero start then forms no n x n array.
+    Each error message starts with the name of the offending field.
     """
 
-    mode: str = "zeros"
+    mode: Literal["zeros", "random"] = "zeros"
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("zeros", "random"):
-            raise ValueError(f"unknown init mode {self.mode!r}; use 'zeros' or 'random'")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"mode must be 'zeros' or 'random', got {self.mode!r}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def operators(self, p: int, n: int) -> Iterator[np.ndarray] | None:

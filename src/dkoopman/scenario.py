@@ -15,6 +15,7 @@ holds the i-th contiguous block of transitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -29,7 +30,8 @@ from .linalg import eigenvalues, range_basis
 
 @dataclass(frozen=True)
 class GridScenario:
-    """Parameters of the grid process and of the agents observing it."""
+    """Parameters of the grid process and of the agents observing it; each
+    error message starts with the name of the offending field."""
 
     grid_side: int = 20
     num_agents: int = 3
@@ -45,8 +47,10 @@ class GridScenario:
         object.__setattr__(self, "drift", tuple(float(v) for v in self.drift))
         if self.grid_side < 2:
             raise ValueError("grid_side must be at least 2")
-        if self.num_agents < 1 or self.snapshots_per_agent < 1:
-            raise ValueError("need at least one agent and one snapshot per agent")
+        if self.num_agents < 1:
+            raise ValueError("num_agents must be at least 1")
+        if self.snapshots_per_agent < 1:
+            raise ValueError("snapshots_per_agent must be at least 1")
         if self.blob_count < 0:
             raise ValueError("blob_count must be nonnegative")
         if not 0.0 <= self.diffusion <= 0.25:
@@ -238,11 +242,15 @@ class ExperimentReport:
     K_ave: KoopmanModel
     spectrum_K_star: np.ndarray
     spectrum_K_ave: np.ndarray
-    diff_matrix: np.ndarray
     trace: RunTrace
     rollout_error: np.ndarray
     spectral: SpectralReport
     alpha: float
+
+    @property
+    def diff_matrix(self) -> np.ndarray:
+        """The elementwise difference |K_ave - K*|."""
+        return np.abs(self.K_ave.K - self.K_star.K)
 
     @property
     def alpha_max(self) -> float:
@@ -269,10 +277,26 @@ def _operator_spectrum(K: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
     return np.concatenate([eigenvalues(core).eigenvalues, np.zeros(n - b, dtype=complex)])
 
 
+@dataclass(frozen=True)
+class Rollout:
+    """The prediction check: ``steps`` frames on from the last (``last_train``)
+    or the first (``first_train``) training frame; each error message starts
+    with the name of the offending field."""
+
+    steps: int = 10
+    start: Literal["last_train", "first_train"] = "last_train"
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError("steps must be positive")
+        if self.start not in ("last_train", "first_train"):
+            raise ValueError(f"start must be 'last_train' or 'first_train', "
+                             f"got {self.start!r}")
+
+
 def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "ring",
                     rollout_steps: int = 10, rollout_start: str = "last_train",
-                    dictionary_spec: str = "vectorization",
-                    init_mode: str = "zeros", init_seed: int = 0,
+                    dictionary_spec: str = "vectorization", init: Start = Start(),
                     rank_tol: float | None = None) -> ExperimentReport:
     """Run the full pipeline and assemble all figure datasets.
 
@@ -280,37 +304,28 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
     spectral report and the centralized solution, runs the distributed
     solver, and evaluates the spectral comparison, the elementwise
     difference |K_ave - K*|, the fit-metric trace, and the multi-step
-    prediction error of K_ave against the generated ground truth.
+    prediction error of K_ave against the generated ground truth, as
+    ``Rollout(rollout_steps, rollout_start)`` sets it.
     """
-    if rollout_start not in ("last_train", "first_train"):
-        raise ValueError(f"rollout_start must be 'last_train' or 'first_train', "
-                         f"got {rollout_start!r}")
-    if rollout_steps < 1:
-        raise ValueError("rollout_steps must be positive")
-
-    inst = build_instance(scn, graph_preset, dictionary_spec,
-                          extra_frames=rollout_steps)
+    check = Rollout(rollout_steps, rollout_start)
+    inst = build_instance(scn, graph_preset, dictionary_spec, extra_frames=check.steps)
     lap = laplacian(inst.graph)
     spectral = spectral_report(inst.partition, inst.data, lap, gains.k_P, gains.k_I)
     alpha = spectral.step_size(gains)
 
-    states, trace = run(Start(init_mode, init_seed), inst.graph, manual_gains(gains, alpha),
-                        inst.partition, inst.data)
+    states, trace = run(init, inst.graph, manual_gains(gains, alpha), inst.partition,
+                        inst.data)
     K_ave = KoopmanModel(states.mean())  # no agent's n x n state is formed
     row_basis = states.row_basis
     del states
 
     K_star = centralized_solve(inst.data, rank_tol)
 
-    N = scn.num_samples
-    if rollout_start == "last_train":
-        z0, base = inst.data.Y[:, -1], N
-    else:
-        z0, base = inst.data.X[:, 0], 0
-    predicted = rollout(K_ave, z0, rollout_steps)
-    truth = np.stack([inst.dictionary.lift_state(inst.frames[base + s].ravel())
-                      for s in range(1, rollout_steps + 1)])
-    rollout_error = np.abs(predicted[1:] - truth)
+    # the lifted frames from the start on; truth[0] is Y[:, -1] or X[:, 0] bit for bit
+    first = scn.num_samples if check.start == "last_train" else 0
+    truth = np.stack([inst.dictionary.lift_state(frame.ravel())
+                      for frame in inst.frames[first:first + check.steps + 1]])
+    rollout_error = np.abs(rollout(K_ave, truth[0], check.steps)[1:] - truth[1:])
 
     return ExperimentReport(
         K_star=K_star,
@@ -318,7 +333,6 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
         # the rows of K* = Y pinv(X) lie in the range pinv inverts, those of K_ave in B
         spectrum_K_star=_operator_spectrum(K_star.K, range_basis(inst.data.X, rank_tol)),
         spectrum_K_ave=_operator_spectrum(K_ave.K, row_basis),
-        diff_matrix=np.abs(K_ave.K - K_star.K),
         trace=trace,
         rollout_error=rollout_error,
         spectral=spectral,

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from dkoopman import cli, consensus, dataio, edmd, scenario
 from dkoopman.config import ConfigError, from_dict, load_config, to_dict
 from dkoopman.consensus import SolverGains, initial_states, run, spectral_report
-from dkoopman.graphs import laplacian
+from dkoopman.graphs import Graph, GraphError, laplacian, parse_graph_text
 from dkoopman.edmd import centralized_solve
 from dkoopman.linalg import eigenvalues, pseudoinverse, spectrum_distance
 from dkoopman.scenario import build_instance
@@ -272,12 +274,39 @@ class TestExperimentCommand:
         ({"dictionary": "monomial:+1"}, "dictionary"),
         ({"dictionary": "radial:3:1_0.5"}, "dictionary"),
         ({"dictionary": "radial:\u0663:\u0660.\u0665"}, "dictionary"),
+        ({"scenario": {"drift": [1.0]}}, "scenario.drift: expected 2 items, got 1"),
     ])
     def test_malformed_leaf_exit_2(self, tmp_path, capsys, cfg, where):
         path = write_config(tmp_path, cfg)
         assert cli.main(["experiment", "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {where}") and "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    # each range rule of GridScenario, Start and Rollout, named by its key path
+    @pytest.mark.parametrize("cfg, line", [
+        ({"scenario": {"grid_side": 1}}, "scenario.grid_side: must be at least 2"),
+        ({"scenario": {"num_agents": 0}}, "scenario.num_agents: must be at least 1"),
+        ({"scenario": {"snapshots_per_agent": 0}},
+         "scenario.snapshots_per_agent: must be at least 1"),
+        ({"scenario": {"blob_count": -1}}, "scenario.blob_count: must be nonnegative"),
+        ({"scenario": {"diffusion": 0.3}}, "scenario.diffusion: must lie in [0, 0.25] "),
+        ({"scenario": {"saturation_gain": 1.5}},
+         "scenario.saturation_gain: must lie in [0, 1] "),
+        ({"scenario": {"seed": -2}}, "scenario.seed: must be nonnegative"),
+        ({"scenario": {"burn_in": -1}}, "scenario.burn_in: must be nonnegative"),
+        ({"init": {"seed": -1}}, "init.seed: must be a nonnegative integer, got -1"),
+        ({"init": {"mode": "ones"}},
+         "init.mode: must be one of ['zeros', 'random'], got 'ones'"),
+        ({"rollout": {"steps": 0}}, "rollout.steps: must be positive"),
+        ({"rollout": {"start": "middle"}},
+         "rollout.start: must be one of ['last_train', 'first_train'], got 'middle'"),
+    ])
+    def test_range_rule_named_by_its_path_exit_2(self, tmp_path, capsys, cfg, line):
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["experiment", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {line}") and len(err.splitlines()) == 1
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("cfg, where", [
@@ -776,6 +805,27 @@ class TestDataIO:
         (tmp_path / "cut.bin").write_bytes(raw[:-8])
         with pytest.raises(ValueError):
             dataio.read_frames_binary(tmp_path / "cut.bin")
+        (tmp_path / "header.bin").write_bytes(raw[:15])
+        with pytest.raises(ValueError, match="too short for its header"):
+            dataio.read_frames_binary(tmp_path / "header.bin")
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4)])
+    def test_frames_binary_refuses_other_shapes(self, tmp_path, shape):
+        with pytest.raises(ValueError, match="expected \\(count, g, g\\) frames"):
+            dataio.write_frames_binary(tmp_path / "f.bin", np.zeros(shape))
+        assert not list(tmp_path.iterdir())
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        (tmp_path / "kept.csv").write_text("old\n")
+
+        def refuse(src, dst):
+            raise PermissionError("replace refused")
+
+        monkeypatch.setattr(dataio.os, "replace", refuse)
+        with pytest.raises(PermissionError, match="replace refused"):
+            dataio.atomic_write_text(tmp_path / "kept.csv", "new\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+        assert (tmp_path / "kept.csv").read_text() == "old\n"
 
     def test_lifted_data_round_trip(self, tmp_path):
         # X.csv and Y.csv as write_matrix_csv writes them are what solve-central
@@ -860,6 +910,70 @@ def test_every_wrong_typed_leaf_is_named_by_its_path():
         where = ".".join(key for key in path if isinstance(key, str))
         with pytest.raises(ConfigError, match=re.escape(where)):
             from_dict(cfg)
+
+
+# the two free-text inputs: any string, and strings shaped like their formats
+# (a vertex-count line, then edge lines; a spec kind, then its fields)
+GRAPH_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.text(alphabet="0123456789 +-_x\t\r\u0663", max_size=6), min_size=1,
+             max_size=6).map("\n".join))
+SPEC_TEXT = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.one_of(st.sampled_from(["vectorization", "monomial", "radial"]),
+                       st.text(alphabet="0123456789.e+-_n :\u0663", max_size=6)),
+             min_size=1, max_size=4).map(":".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=GRAPH_TEXT, spec=SPEC_TEXT)
+def test_free_text_parsers_return_or_refuse(text, spec):
+    try:
+        assert isinstance(parse_graph_text(text), Graph)
+    except GraphError:
+        pass
+    try:
+        assert isinstance(edmd.parse_dictionary(spec, q=16), edmd.Dictionary)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=GRAPH_TEXT, spec=SPEC_TEXT)
+def test_refused_free_text_exits_2(text, spec):
+    # an accepted text may ask for any amount of work, so only refused ones
+    # go through the CLI
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        graph_path = tmp / "g.txt"
+        graph_path.write_text(text, encoding="utf-8")
+        cases = []
+        try:
+            parse_graph_text(graph_path.read_text(encoding="utf-8"))  # as the CLI reads it
+        except GraphError:
+            cases.append(small_config(graph={"edge_file": str(graph_path)}))
+        try:
+            edmd.parse_dictionary(spec, q=SMALL_SCENARIO["grid_side"] ** 2,
+                                  seed=SMALL_SCENARIO["seed"])
+        except ValueError:
+            cases.append(small_config(dictionary=spec))
+        for cfg in cases:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = cli.main(["experiment", "--config", write_config(tmp, cfg),
+                               "--out", str(tmp / "run")])
+            assert rc == 2 and len(err.getvalue().splitlines()) == 1, (cfg, err.getvalue())
+            assert err.getvalue().startswith("config error: ")
+            assert not (tmp / "run").exists()
+
+
+def test_readme_config_example_is_the_default():
+    # the README's jsonc block, comments stripped, is the schema with its desk defaults
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    raw = json.loads(re.sub(r"//.*", "", block))
+    assert from_dict(raw) == from_dict({})
+    assert raw.keys() == to_dict(from_dict({})).keys()  # every top-level key is shown
 
 
 class TestRankTolConfig:

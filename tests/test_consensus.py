@@ -67,6 +67,11 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition_data(data, [2, 0])
 
+    def test_blocks_refuse_other_data(self):
+        part = partition_data(make_data(np.random.default_rng(0), 2, [2, 2]), [2, 2])
+        with pytest.raises(ValueError, match="partition covers 4 columns, data has 5"):
+            part.blocks(make_data(np.random.default_rng(0), 2, [5]))
+
     def test_blocks_are_views(self):
         rng = np.random.default_rng(1)
         data = make_data(rng, 3, [2, 4])
@@ -399,6 +404,13 @@ class TestRun:
         for a, b in zip(states_run, states_it):
             assert np.array_equal(a.K, b.K) and np.array_equal(a.R, b.R)
 
+    def test_iterate_rounds_refuses_negative_rounds(self):
+        data, part, graph = worked_instance()
+        gains = SolverGains(k_P=1.0, k_I=1.0, alpha=0.1, t_max=5)
+        with pytest.raises(ValueError, match="rounds must be nonnegative"):
+            iterate_rounds(Start(), graph, gains, part, data, -1)
+        assert len(iterate_rounds(Start(), graph, gains, part, data, 0)) == 2
+
     def test_trace_lengths_consistent(self):
         _, data, part, graph = self._instance(seed=19)
         gains = SolverGains(k_P=2.0, k_I=1.0, alpha=0.005, t_max=50, stop_tol=0.0)
@@ -499,6 +511,11 @@ class TestSpectralReport:
         assert rep.semi_hurwitz
         assert rep.n_zero == 1
         assert rep.spectrum_M is not None
+
+    def test_partition_must_match_the_laplacian(self):
+        data, part, _ = worked_instance()  # p = 2
+        with pytest.raises(ValueError, match="partition has 2 agents, Laplacian has 3"):
+            spectral_report(part, data, laplacian(preset_graph("ring", 3)), 1.0, 1.0)
 
     def test_spectrum_M_shares_the_multiset(self):
         rng = np.random.default_rng(25)
@@ -1144,9 +1161,10 @@ class TestStart:
     """``Start(mode, seed)`` stands for the agent states of ``initial_states``."""
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown init mode"):
+        refused = "mode must be 'zeros' or 'random', got 'ones'"
+        with pytest.raises(ValueError, match=refused):
             Start("ones")
-        with pytest.raises(ValueError, match="unknown init mode"):
+        with pytest.raises(ValueError, match=refused):
             initial_states(2, 3, "ones")
 
     @pytest.mark.parametrize("mode, seed, snapshots", [("zeros", 0, 8), ("random", 1, 8),
@@ -1179,7 +1197,7 @@ class TestStart:
         assert len(made) == 1
 
     @pytest.mark.parametrize("mode", ["zeros", "random"])
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
     def test_seed_must_be_a_nonnegative_integer(self, mode, seed):
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             Start(mode, seed)

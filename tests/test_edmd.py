@@ -84,6 +84,17 @@ class TestDictionaries:
         with pytest.raises(DimensionError):
             vectorization_dictionary(3).lift_state([1.0, 2.0])
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: vectorization_dictionary(0), "input dimension must be positive"),
+        (lambda: monomial_dictionary(0, 2), "need q >= 1"),
+        (lambda: monomial_dictionary(2, -1), "max_degree >= 0"),
+        (lambda: Dictionary("fourier", 2, 2).lift_state([1.0, 2.0]),
+         "unknown dictionary kind 'fourier'"),
+    ], ids=["vectorization q = 0", "monomial q = 0", "monomial degree -1", "unknown kind"])
+    def test_refused(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
 
 class TestLift:
     def test_vectorization_example(self):
@@ -127,6 +138,11 @@ def test_value_classes_refuse_bad_arrays(make):
     with pytest.raises(ValueError) as info:
         make(np.array([[1.0, np.nan], [0.0, 1.0]]))
     assert type(info.value) is ValueError
+
+
+def test_operator_must_be_square():
+    with pytest.raises(DimensionError, match=r"square, got shape \(2, 3\)"):
+        KoopmanModel(np.ones((2, 3)))
 
 
 class TestCentralizedSolve:
@@ -260,3 +276,8 @@ class TestFitMetric:
         data = LiftedData(X=np.ones((1, 1)), Y=np.ones((1, 1)))
         with pytest.raises(ValueError):
             fit_metric([], data)
+
+    def test_dimension_mismatch(self):
+        data = LiftedData(X=np.ones((2, 3)), Y=np.ones((2, 3)))
+        with pytest.raises(DimensionError, match="operator dim 3 != data feature dim 2"):
+            fit_metric([KoopmanModel(np.eye(2)), KoopmanModel(np.eye(3))], data)

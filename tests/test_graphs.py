@@ -43,6 +43,11 @@ class TestBuildGraph:
         with pytest.raises(GraphError):
             build_graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 5])
+    def test_edge_not_a_pair_rejected(self, edge):
+        with pytest.raises(GraphError, match="is not a vertex pair"):
+            build_graph(3, [edge])
+
     def test_bad_vertex_count(self):
         with pytest.raises(GraphError):
             build_graph(0, [])

@@ -92,6 +92,9 @@ class TestSpectrumType:
         with pytest.raises(DimensionError):
             spectrum_distance([1.0], [1.0, 2.0])
 
+    def test_distance_of_empty_spectra_is_zero(self):
+        assert spectrum_distance([], np.zeros(0, dtype=complex)) == 0.0
+
 
 class TestPseudoinverse:
     def test_diagonal(self):
@@ -185,6 +188,10 @@ class TestPsdSqrt:
     def test_asymmetric_rejected(self):
         with pytest.raises(NotPSDError):
             psd_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError, match="square"):
+            psd_sqrt(np.ones((2, 3)))
 
     def test_reconstruction_random_psd(self):
         rng = np.random.default_rng(11)

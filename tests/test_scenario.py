@@ -11,8 +11,8 @@ from dkoopman.edmd import SnapshotSequence, centralized_solve, lift, \
     vectorization_dictionary
 from dkoopman.graphs import laplacian, preset_graph
 from dkoopman.linalg import eigenvalues, range_basis, spectrum_distance
-from dkoopman.scenario import (GridScenario, _advect, _operator_spectrum, advance,
-                               build_instance, make_experiment,
+from dkoopman.scenario import (GridScenario, Rollout, _advect, _operator_spectrum,
+                               advance, build_instance, make_experiment,
                                sequential_widths, simulate_frames)
 
 DESK = GridScenario(grid_side=4, num_agents=3, snapshots_per_agent=8, blob_count=6,
@@ -39,6 +39,25 @@ class TestGridScenarioValidation:
         with pytest.raises(ValueError):
             GridScenario(drift=(1.0, np.inf))
 
+    # each rule names its field first, which the config reports as its key path
+    @pytest.mark.parametrize("field, value", [
+        ("grid_side", 1), ("num_agents", 0), ("snapshots_per_agent", 0), ("blob_count", -1),
+        ("diffusion", 0.3), ("saturation_gain", 1.5), ("drift", (1.0, np.inf)),
+        ("drift", (1.0,)), ("seed", -1), ("burn_in", -1)])
+    def test_each_rule_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            GridScenario(**{field: value})
+
+
+class TestRollout:
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"steps": 0}, "^steps must be positive"),
+        ({"start": "middle"}, "^start must be 'last_train' or 'first_train', got 'middle'"),
+    ])
+    def test_refused(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            Rollout(**kwargs)
+
 
 class TestGenerate:
     def test_deterministic(self):
@@ -62,6 +81,12 @@ class TestGenerate:
 
     def test_shape(self):
         assert simulate_frames(DESK, DESK.num_samples + 1).shape == (25, 4, 4)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="count must be positive"):
+            simulate_frames(DESK, 0)
+        with pytest.raises(ValueError, match=r"frame must be 2-D, got shape \(16,\)"):
+            advance(np.zeros(16), DESK)
 
     def test_range_invariant_bulk(self):
         # 20 seeds x 1000 frames, every entry in [0, 1]
@@ -182,6 +207,10 @@ class TestSequentialWidths:
         with pytest.raises(ValueError):
             sequential_widths(2, 3)
 
+    def test_no_agents(self):
+        with pytest.raises(ValueError, match="need at least one agent"):
+            sequential_widths(3, 0)
+
 
 class TestExperiment:
     def test_full_row_rank_oracle_comparison(self):
@@ -249,8 +278,7 @@ class TestExperiment:
         # range(X), and K_ave has no row basis to take its spectrum from a core
         scn = dataclasses.replace(DESK, snapshots_per_agent=2)
         gains = SolverGains(k_P=5.0, k_I=2.0, alpha_fraction=0.5, t_max=50, stop_tol=0.0)
-        report = make_experiment(scn, gains, rollout_steps=2, init_mode="random",
-                                 init_seed=1)
+        report = make_experiment(scn, gains, rollout_steps=2, init=Start("random", 1))
         assert report.spectral.rank < scn.feature_dim
         inst = build_instance(scn)
         states, _ = run(Start("random", 1), inst.graph, manual_gains(gains, report.alpha),
