@@ -9,8 +9,9 @@ Runs, each into its own directory under one temporary directory (or under
 * ``experiment`` on paper with a random start and ``t_max`` 30;
 * ``alpha-sweep`` on sweep, seeds 5 and 3;
 * ``alpha-sweep --scale paper``;
-* ``alpha-sweep`` on paper with a random start and ``t_max`` 30 (its mean
-  history carries the start's rows outside range(X));
+* ``alpha-sweep`` on paper with a random start and ``t_max`` 30 (its state
+  carries the start's rows outside range(X), which the mean's steps leave
+  out);
 * ``alpha-sweep`` on sweep, seed 5, with ``stop_tol`` 0 and ``t_max`` 8,000
   (the override of the benchmark's ``sweep`` workload);
 * ``alpha-sweep`` on sweep with ``--thetas 0.5,3.0`` (the flag's thetas
@@ -44,7 +45,10 @@ side by side.  With ``--against OTHER``, a directory an earlier ``--keep``
 run left (of another checkout, say), the listing is followed by one line
 per output whose bytes differ from ``OTHER/<run>/<file>``: the largest
 absolute deviation of a CSV's numeric cells, the differing keys of a JSON
-file, or that the file exists on one side only:
+file, or that the file exists on one side only.  Under the line of a CSV of
+at most 20 rows, each differing cell follows on a line of its own,
+``row,col: old -> new`` (1-based row and column, the header as row 1; old
+is OTHER's cell, and an empty cell reads ''):
 
     python3 scripts/output_digests.py ../parent --keep before > before.txt
     python3 scripts/output_digests.py --against before > after.txt
@@ -122,15 +126,16 @@ def runs(configs: Path, tmp: Path, out_root: Path) -> list[tuple[str, list[str]]
             (central.name, ["solve-central", str(central / "X.csv"), str(central / "Y.csv")])]
 
 
+def _cells(path: Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
 def _csv_deviation(here: Path, there: Path) -> str:
     """The largest absolute deviation between two CSVs' numeric cells, next
     to their largest magnitude; the other cells (headers, flags, empty
     cells) are compared as text."""
-    def cells(path):
-        with open(path, newline="", encoding="utf-8") as fh:
-            return list(csv.reader(fh))
-
-    a, b = cells(here), cells(there)
+    a, b = _cells(here), _cells(there)
     if [len(row) for row in a] != [len(row) for row in b]:
         return "shape differs"
     worst, size, text = 0.0, 0.0, 0
@@ -146,6 +151,18 @@ def _csv_deviation(here: Path, there: Path) -> str:
             worst = max(worst, math.inf if math.isnan(gap) else gap)  # nan on one side: inf
     return (f"max abs deviation {worst:.3g} (largest |value| {size:.3g})"
             + (f", {text} text cells differ" if text else ""))
+
+
+def _cell_changes(here: Path, there: Path, max_rows: int = 20) -> list[str]:
+    """``row,col: old -> new`` for each cell of ``here`` that differs from
+    the same cell of ``there`` (old), both of the same shape and at most
+    ``max_rows`` rows; nothing for larger or differently shaped files."""
+    a, b = _cells(here), _cells(there)
+    if len(a) > max_rows or [len(row) for row in a] != [len(row) for row in b]:
+        return []
+    return [f"{i},{j}: {old or repr('')} -> {new or repr('')}"
+            for i, (new_row, old_row) in enumerate(zip(a, b), 1)
+            for j, (new, old) in enumerate(zip(new_row, old_row), 1) if new != old]
 
 
 def _json_keys(a, b, prefix: str = "") -> list[str]:
@@ -167,7 +184,8 @@ def _json_keys(a, b, prefix: str = "") -> list[str]:
 
 def deviations(out_root: Path, other: Path, names: list[str]) -> list[str]:
     """One line per output file of ``names`` (``<run>/<file>``, plus the
-    files of those runs under ``other``) whose bytes differ."""
+    files of those runs under ``other``) whose bytes differ; a small CSV's
+    line is followed by its :func:`_cell_changes`, indented."""
     lines = []
     runs = sorted({name.split("/")[0] for name in names})
     theirs = [f"{run}/{p.name}" for run in runs if (other / run).is_dir()
@@ -182,6 +200,7 @@ def deviations(out_root: Path, other: Path, names: list[str]) -> list[str]:
             continue
         elif here.suffix == ".csv":
             lines.append(f"{name}: {_csv_deviation(here, there)}")
+            lines += ["  " + change for change in _cell_changes(here, there)]
         elif here.suffix == ".json":
             keys = _json_keys(json.loads(here.read_text(encoding="utf-8")),
                               json.loads(there.read_text(encoding="utf-8")))
@@ -211,7 +230,8 @@ def main_digests(root: Path, keep: Path | None, against: Path | None) -> int:
                       for path in paths]
         if against is not None:
             moved = deviations(out_root, against.resolve(), names)
-            lines += ["", f"{len(moved)} outputs differ from {against}:", *moved]
+            count = sum(not line.startswith(" ") for line in moved)
+            lines += ["", f"{count} outputs differ from {against}:", *moved]
     print("\n".join(lines))
     return 0
 

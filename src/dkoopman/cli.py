@@ -109,11 +109,9 @@ def cmd_alpha_sweep(cfg: RunConfig) -> int:
     for theta in cfg.sweep_thetas:
         alpha = theta * report.alpha_max
         _, trace = run(cfg.init, inst.graph, manual_gains(base, alpha),
-                       inst.partition, inst.data, record_mean=True, series=False)
+                       inst.partition, inst.data, series=False)
         rho = report.rho_max(alpha)
-        contraction = (tail_contraction(trace.mean_history)
-                       if trace.mean_history is not None and not trace.diverged
-                       else float("nan"))
+        contraction = float("nan") if trace.diverged else tail_contraction(trace)
         lines.append(",".join([
             f"{theta:.17g}", f"{alpha:.17g}",
             "" if rho is None else f"{rho:.17g}",
@@ -121,7 +119,6 @@ def cmd_alpha_sweep(cfg: RunConfig) -> int:
             str(trace.iterations),
             "" if np.isnan(contraction) else f"{contraction:.17g}",
         ]))
-        del trace  # its mean history would otherwise stay alive through the next run
 
     out = Path(cfg.out_dir)
     dataio.atomic_write_text(out / "alpha_sweep.csv", "\n".join(lines) + "\n")

@@ -611,7 +611,11 @@ class RunTrace:
     of :class:`_Reduced`, Kbar(t) = H Wbar(t)^T B^T + Ubar(t), where the mean
     Ubar of the start's rows outside range(X) stays at its start value while
     sum_i R_i stays zero.  The history is None unless requested and within
-    ``_HISTORY_BYTE_CAP``.
+    ``_HISTORY_BYTE_CAP``.  Every run keeps, in its place, the step record
+    that :func:`tail_contraction` reads: ``mean_steps`` (iterations - 1),
+    the norms ||Wbar(t) - Wbar(t - 1)||_F = ||Kbar(t) - Kbar(t - 1)||_F for
+    t = 2..iterations, and ``mean_norm`` = ||Wbar(iterations)||_F, each with
+    the bits that :func:`tail_contraction` forms from the history.
     """
 
     consensus_error: np.ndarray | None
@@ -623,6 +627,8 @@ class RunTrace:
     diverged: bool
     iterations: int
     mean_history: np.ndarray | None = None
+    mean_steps: np.ndarray | None = None
+    mean_norm: float | None = None
 
 
 def kkt_residual(states, part: Partition, data: LiftedData, graph: Graph) -> float:
@@ -667,10 +673,11 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     function of its inputs: repeated calls give bit-identical traces.
 
     With ``series=False`` the trace's five series are None, and each round
-    computes only the divergence guard, the mean for ``record_mean``, and,
-    when ``gains.stop_tol`` > 0, the consensus error and KKT residual that
-    can stop the run.  Rounds, stopping, states and mean history are
-    bit-identical to a run with ``series=True``.
+    computes only the divergence guard, the mean and its step for the step
+    record (and the history of ``record_mean``), and, when
+    ``gains.stop_tol`` > 0, the consensus error and KKT residual that can
+    stop the run.  Rounds, stopping, states, step record and mean history
+    are bit-identical to a run with ``series=True``.
 
     The rounds and the diagnostics run in the reduced coordinates of
     :class:`_Reduced`: with B, H and Phi orthonormal, ||K_i - K_j||_F =
@@ -714,6 +721,12 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     # bounded by the cap, and np.empty touches only the rows written
     record = record_mean and t_max * bd * 8 <= _HISTORY_BYTE_CAP
     mean_hist = np.empty((t_max, b, d)) if record else None
+    # the step record of rounds 2..t, grown by doubling; np.empty touches
+    # only the rows written.  The chunk's means are copied after the
+    # previous chunk's last one, into contiguous rows: subtracting the
+    # strided rows of ``diag`` took twice as long.
+    steps = np.empty(min(t_max - 1, 2**16))
+    mean_rows, step_rows = np.zeros((k + 1, bd)), np.empty((k, bd))
     t, converged, diverged, met = 0, False, False, False
 
     # a diverging chunk overflows in the rounds after the one that trips the
@@ -727,7 +740,8 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
             Zf = buf[1:kc + 1, :p]
             D, E = diag[:kc], res[:kc]
             np.matmul(mix, Zf, out=D[:, :m + 1])
-            Wbar = D[:, m, :bd].reshape(kc, b, d)
+            means = D[:, m, :bd]
+            Wbar = means.reshape(kc, b, d)
             if stopping:
                 np.matmul(red.XtT, Wbar, out=E[:, 0])
                 if series:
@@ -757,12 +771,23 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
                                          norms[:kc, m + 2])))
             if record:
                 mean_hist[t:t + kc] = Wbar[:kc]
+            mean_rows[1:kc + 1] = means[:kc]
+            np.subtract(mean_rows[1:kc + 1], mean_rows[:kc], out=step_rows[:kc])
+            lo, hi = max(t - 1, 0), t + kc - 1
+            if hi > steps.size:
+                grown = np.empty(min(t_max - 1, 2 * hi))
+                grown[:lo] = steps[:lo]
+                steps = grown
+            steps[lo:hi] = _row_norms(step_rows[0 if t else 1:kc])
+            mean_rows[0] = mean_rows[kc]
             t += kc
             buf[0] = buf[kc - 1 if diverged else kc]
+        mean_norm = float(_row_norms(mean_rows[:1])[0])
 
     trace = RunTrace(*(np.concatenate(blocks, axis=1) if series else [None] * 5),
                      converged=converged, diverged=diverged, iterations=t,
-                     mean_history=mean_hist[:t] if record else None)
+                     mean_history=mean_hist[:t] if record else None,
+                     mean_steps=steps[:t - 1], mean_norm=mean_norm)
     return ReducedStates(red, buf[0].copy()), trace  # not a view that holds the chunk buffer
 
 
@@ -786,27 +811,52 @@ def iterate_rounds(states, graph: Graph, gains: SolverGains, part: Partition,
     return ReducedStates(red, Z)
 
 
-def tail_contraction(mean_history, tail_fraction: float = 0.5) -> float:
-    """Geometric-mean per-iteration contraction toward the final mean operator.
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each row of a 2-D array whose rows are
+    contiguous; a row's norm has the same bits wherever the row lies."""
+    return np.sqrt(np.einsum("ij,ij->i", A, A))
 
-    Distances d(t) = ||Kbar(t) - Kbar(final)||_F, which the orthonormal
-    bases of the (t, b, d) ``RunTrace.mean_history`` preserve (a start's
-    constant mean outside range(X) cancels), are measured
-    over the trailing ``tail_fraction`` window (the final point itself,
-    where d = 0 by construction, is excluded).  Returns NaN when the window
-    is too short or the distances have already hit exact zero.
+
+def tail_contraction(record, tail_fraction: float = 0.5) -> float:
+    """Per-round contraction rate of the mean operator, from its successive steps.
+
+    ``record`` is a :class:`RunTrace` of :func:`run`, whose step record
+    ``mean_steps`` is read, or a (t, b, d) ``RunTrace.mean_history``, from
+    which the same steps s(t) = ||Kbar(t) - Kbar(t - 1)||_F are formed with
+    the same bits.  The window is that of the means from index
+    floor((t - 1)(1 - tail_fraction)) on, so its steps are those ending in
+    it.  Only steps above the roundoff floor, 1e-13 times the norm of the
+    last mean in the record's coordinates (||Wbar(final)||_F), count,
+    and the estimate is the median of s(t + 1) / s(t) over the pairs of
+    successive steps that both count.  No step is measured against the
+    final point, so the estimate carries no (1 - rho^(T - t)) bias.
+    Returns NaN when fewer than two such ratios remain.
     """
-    H = np.asarray(mean_history, dtype=float)
-    if H.ndim != 3 or H.shape[0] < 4:
-        return float("nan")
-    start = int(np.floor((H.shape[0] - 1) * (1.0 - tail_fraction)))
-    d = np.linalg.norm(H[start:] - H[-1], axis=(1, 2))  # the window only
-    last = d.size - 2
-    while last >= 0 and d[last] <= 0.0:
-        last -= 1
-    if last <= 0 or d[0] <= 0.0:
-        return float("nan")
-    return float((d[last] / d[0]) ** (1.0 / last))
+    def first(t: int) -> int:  # index of the first step ending in the window
+        return max(int(np.floor((t - 1) * (1.0 - tail_fraction))) - 1, 0)
+
+    nan = float("nan")
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged run's steps
+        if isinstance(record, RunTrace):
+            if record.mean_steps is None:
+                return nan
+            steps, size = record.mean_steps[first(record.iterations):], record.mean_norm
+        else:
+            H = np.asarray(record, dtype=float)
+            if H.ndim != 3 or H.shape[0] < 2:
+                return nan
+            rows = H.reshape(H.shape[0], H.shape[1] * H.shape[2])
+            window = rows[first(H.shape[0]):]
+            steps, size = _row_norms(window[1:] - window[:-1]), _row_norms(rows[-1:])[0]
+        keep = (steps > 1e-13 * size) & (steps < np.inf)
+        pairs = keep[1:] & keep[:-1]
+        ratios = np.sort(steps[1:][pairs] / steps[:-1][pairs])
+    if ratios.size < 2:
+        return nan
+    # np.median's bits, without the modules its first call loads (about
+    # 1.25 MB of resident memory)
+    half = ratios.size // 2
+    return float(ratios[half] if ratios.size % 2 else (ratios[half - 1] + ratios[half]) / 2)
 
 
 def manual_gains(gains: SolverGains, alpha: float) -> SolverGains:

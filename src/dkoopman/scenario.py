@@ -28,6 +28,13 @@ from .graphs import (DisconnectedGraphError, Graph, GraphError, is_connected, la
 from .linalg import eigenvalues, range_basis
 
 
+def _require_integer(name: str, value) -> None:
+    """Refuse a value of the integer field ``name`` that is not an integer,
+    ``bool`` included."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridScenario:
     """Parameters of the grid process and of the agents observing it; each
@@ -45,6 +52,9 @@ class GridScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "drift", tuple(float(v) for v in self.drift))
+        for name in ("grid_side", "num_agents", "snapshots_per_agent", "blob_count",
+                     "seed", "burn_in"):
+            _require_integer(name, getattr(self, name))
         if self.grid_side < 2:
             raise ValueError("grid_side must be at least 2")
         if self.num_agents < 1:
@@ -98,24 +108,38 @@ def initial_frame(scn: GridScenario) -> np.ndarray:
     return np.clip(field, 0.0, 1.0)
 
 
-def _advect(u: np.ndarray, vx: float, vy: float) -> np.ndarray:
-    # bilinear periodic shift of the field by (+vx, +vy)
+def _advection_plan(vx: float, vy: float, shape) -> tuple:
+    """The bilinear periodic shift of a frame of ``shape`` by (+vx, +vy) as
+    its (weight, roll) terms, worked out once for a fixed drift.
+
+    A term of weight 0 (an integer drift component) adds exact zeros to the
+    finite values, so leaving it out keeps the sum bit-identical; so do a
+    roll of None for a shift by a whole period and, in :func:`_shift`, no
+    multiply for a weight of 1.0 (1.0 * x == x, -0.0 included).
+    """
     ix, iy = int(np.floor(vx)), int(np.floor(vy))
     fx, fy = vx - ix, vy - iy
+    return tuple((w, None if a % shape[0] == b % shape[1] == 0 else (a, b))
+                 for w, a, b in (((1 - fx) * (1 - fy), ix, iy), (fx * (1 - fy), ix + 1, iy),
+                                 ((1 - fx) * fy, ix, iy + 1), (fx * fy, ix + 1, iy + 1))
+                 if w != 0.0)
 
-    # a term of weight 0 (an integer drift component) adds exact zeros to
-    # the finite values, so skipping it leaves the sum bit-identical; so do
-    # skipping a roll by a whole period and a multiply by 1.0 (1.0 * x == x,
-    # -0.0 included), which at zero drift return the frame itself
+
+def _shift(u: np.ndarray, plan: tuple) -> np.ndarray:
+    """The sum of an :func:`_advection_plan`'s terms on frame u; at zero
+    drift, the frame itself."""
     out = None
-    for w, a, b in (((1 - fx) * (1 - fy), ix, iy), (fx * (1 - fy), ix + 1, iy),
-                    ((1 - fx) * fy, ix, iy + 1), (fx * fy, ix + 1, iy + 1)):
-        if w != 0.0:
-            term = u if a % u.shape[0] == b % u.shape[1] == 0 else np.roll(u, (a, b), (0, 1))
-            if w != 1.0:
-                term = w * term
-            out = term if out is None else out + term
+    for w, roll in plan:
+        term = u if roll is None else np.roll(u, roll, (0, 1))
+        if w != 1.0:
+            term = w * term
+        out = term if out is None else out + term
     return out
+
+
+def _advect(u: np.ndarray, vx: float, vy: float) -> np.ndarray:
+    """Bilinear periodic shift of the field by (+vx, +vy)."""
+    return _shift(u, _advection_plan(vx, vy, u.shape))
 
 
 def _diffuse(u: np.ndarray, d: float) -> np.ndarray:
@@ -126,11 +150,13 @@ def _diffuse(u: np.ndarray, d: float) -> np.ndarray:
     return u + d * lap
 
 
-def _step(u: np.ndarray, scn: GridScenario, out: np.ndarray, tmp: np.ndarray) -> None:
-    """One step of the map from frame u into ``out``: advect, diffuse, then
-    the logistic saturation and the clip to [0, 1] in place, with ``tmp``
-    (2, g, g) for their temporaries; u must not share memory with them."""
-    v = _diffuse(_advect(u, *scn.drift), scn.diffusion)
+def _step(u: np.ndarray, scn: GridScenario, plan: tuple, out: np.ndarray,
+          tmp: np.ndarray) -> None:
+    """One step of the map from frame u into ``out``: advect by ``plan`` (the
+    :func:`_advection_plan` of ``scn.drift``), diffuse, then the logistic
+    saturation and the clip to [0, 1] in place, with ``tmp`` (2, g, g) for
+    their temporaries; u must not share memory with them."""
+    v = _diffuse(_shift(u, plan), scn.diffusion)
     gain = scn.saturation_gain
     # the blend (1 - gain) u + gain * 4 u (1 - u) toward the full logistic
     # map; [0, 1] is exactly invariant for gain in [0, 1], and gain 0 is the
@@ -158,7 +184,7 @@ def advance(frame, scn: GridScenario) -> np.ndarray:
     if u.ndim != 2:
         raise ValueError(f"frame must be 2-D, got shape {u.shape}")
     out = np.empty_like(u)
-    _step(u, scn, out, np.empty((2, *u.shape)))
+    _step(u, scn, _advection_plan(*scn.drift, u.shape), out, np.empty((2, *u.shape)))
     return out
 
 
@@ -175,14 +201,15 @@ def simulate_frames(scn: GridScenario, count: int) -> np.ndarray:
         raise ValueError("count must be positive")
     g = scn.grid_side
     frame = initial_frame(scn)
+    plan = _advection_plan(*scn.drift, (g, g))
     burn, tmp = np.empty((2, g, g)), np.empty((2, g, g))
     for k in range(scn.burn_in):  # alternate between two frames
-        _step(frame, scn, burn[k % 2], tmp)
+        _step(frame, scn, plan, burn[k % 2], tmp)
         frame = burn[k % 2]
     out = np.empty((count, g, g))
     out[0] = frame
     for k in range(1, count):
-        _step(out[k - 1], scn, out[k], tmp)
+        _step(out[k - 1], scn, plan, out[k], tmp)
     return out
 
 
@@ -287,6 +314,7 @@ class Rollout:
     start: Literal["last_train", "first_train"] = "last_train"
 
     def __post_init__(self):
+        _require_integer("steps", self.steps)
         if self.steps < 1:
             raise ValueError("steps must be positive")
         if self.start not in ("last_train", "first_train"):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -595,20 +596,20 @@ class TestAlphaSweepCommand:
         assert not (tmp_path / "s").exists()
 
     def test_paper_scale_contraction(self, tmp_path):
-        # the zero start records b x d = 3 x 9 numbers per round; an n x n
-        # history would take t_max n^2 8 = 1.28 GB, over the cap
+        # the run keeps one step norm per round, not a b x d or n x n history
         out = tmp_path / "paper"
         assert cli.main(["alpha-sweep", "--scale", "paper", "--out", str(out)]) == 0
         rows = {r[0]: r for r in (ln.split(",") for ln in
                                   (out / "alpha_sweep.csv").read_text().splitlines()[1:])}
         assert list(rows) == ["0.29999999999999999", "0.5", "0.90000000000000002"]
         assert 0.0 < float(rows["0.29999999999999999"][6]) < 1.0
-        # the tail window of these two starts at exact zero distance
+        # the mean of these two reaches the roundoff floor before the window
         assert rows["0.5"][6] == rows["0.90000000000000002"][6] == ""
 
     def test_history_over_the_cap(self, tmp_path, monkeypatch):
         # the cap on t_max * b * d * 8 bytes: at it the history is recorded,
-        # one byte below it not, and the sweep's contraction column goes blank
+        # one byte below it not; the sweep reads the step record instead, so
+        # its contraction column is written either way
         inst = build_instance(from_dict(small_config()).scenario, "ring")
         gains = SolverGains(k_P=5.0, k_I=2.0, alpha=0.01, t_max=40, stop_tol=0.0)
         init = initial_states(3, inst.data.feature_dim, "random", 1)
@@ -628,7 +629,38 @@ class TestAlphaSweepCommand:
         assert cli.main(["alpha-sweep", "--config", write_config(tmp_path, cfg),
                          "--thetas", "0.5"]) == 0
         rows = (out / "alpha_sweep.csv").read_text().splitlines()
-        assert len(rows) == 2 and rows[1].endswith(",200,")
+        assert len(rows) == 2 and rows[1].split(",")[5] == "200"
+        assert 0.0 < float(rows[1].split(",")[6]) < 1.0
+
+    def test_contraction_needs_no_history(self, tmp_path, monkeypatch):
+        # with no history allowed at all, every converging row still has its
+        # contraction, and a diverged one has none
+        monkeypatch.setattr(consensus, "_HISTORY_BYTE_CAP", 0)
+        out = tmp_path / "sweep"
+        path = write_config(tmp_path, small_config(out_dir=str(out), t_max=300,
+                                                   stop_tol=0.0))
+        assert cli.main(["alpha-sweep", "--config", path, "--thetas", "0.3,0.9,3.0"]) == 0
+        rows = [ln.split(",") for ln in (out / "alpha_sweep.csv").read_text().splitlines()[1:]]
+        assert [row[4] for row in rows] == ["false", "false", "true"]
+        assert all(0.0 < float(row[6]) < 1.0 for row in rows[:2]) and rows[2][6] == ""
+
+    def test_peak_memory_does_not_grow_with_t_max(self, tmp_path):
+        # the benchmark's sweep (stop_tol 0) at t_max 2,000 and 8,000: the
+        # traced peak differs by less than 1 MB, where a b x d mean history
+        # per round grew it by about 24 MB
+        root = Path(__file__).resolve().parents[1]
+        cfg = {**json.loads((root / "configs" / "sweep.json").read_text()), "stop_tol": 0.0}
+        peaks = []
+        for t_max in (2000, 2000, 8000):  # the first one warms up the process
+            out = tmp_path / f"sweep{len(peaks)}"
+            path = write_config(tmp_path, {**cfg, "t_max": t_max, "out_dir": str(out)})
+            tracemalloc.start()
+            try:
+                assert cli.main(["alpha-sweep", "--config", path]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[2] - peaks[1]) < 2**20, peaks
 
     @pytest.mark.parametrize("override", [{}, {"stop_tol": 0.0, "t_max": 2000}])
     def test_series_free_runs_write_the_same_bytes(self, tmp_path, monkeypatch, override):

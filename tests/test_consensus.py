@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dkoopman import consensus
+from dkoopman.config import load_config
 from dkoopman.consensus import (DIVERGENCE_GUARD, AgentState, NotSemiHurwitzError,
                                 SolverGains, StepSizeError, assemble_M, assemble_M_tilde,
                                 assemble_block_X, compute_alpha_max, compute_rho_max,
@@ -1092,7 +1094,15 @@ def _series_free_matches(init, graph, gains, part, data):
         assert lean.mean_history is None
     else:
         assert np.array_equal(lean.mean_history, full.mean_history)
+        assert _same(tail_contraction(full.mean_history), tail_contraction(full))
+    assert np.array_equal(lean.mean_steps, full.mean_steps, equal_nan=True)
+    assert _same(lean.mean_norm, full.mean_norm)
     return full
+
+
+def _same(a: float, b: float) -> bool:
+    """Equal floats, NaN included."""
+    return a == b or (np.isnan(a) and np.isnan(b))
 
 
 class TestSeriesFreeRun:
@@ -1282,3 +1292,70 @@ class TestTailContraction:
 
     def test_degenerate_history(self):
         assert np.isnan(tail_contraction(np.zeros((3, 2, 2))))
+
+    def test_no_bias_from_the_final_point(self):
+        # a geometric approach to a nonzero limit, cut off long before it:
+        # the successive steps read the rate, and the distances to the last
+        # point read it low
+        rho, limit = 0.99, np.arange(4.0).reshape(1, 2, 2)
+        hist = limit + rho ** np.arange(1, 201).reshape(-1, 1, 1) * np.ones((2, 2))
+        assert tail_contraction(hist) == pytest.approx(rho, abs=1e-12)
+
+    def test_steps_at_the_roundoff_floor_are_left_out(self):
+        # the mean stops moving after round 40, then steps by a few ulps of
+        # its norm: those steps are below 1e-13 of it and do not count
+        hist = [np.full((1, 3), 1.0 + 0.5**t) for t in range(1, 41)]
+        hist += [np.full((1, 3), 1.0 + 1e-16 * (t % 3)) for t in range(40)]
+        hist = np.array(hist)
+        assert tail_contraction(hist, tail_fraction=0.9) == pytest.approx(0.5, abs=1e-12)
+        # a window that holds only the flat part has no rate; constant and
+        # all-zero means step by exact zeros, which divide nothing
+        for flat in (hist[40:], np.ones((20, 2, 2)), np.zeros((20, 2, 2))):
+            assert np.isnan(tail_contraction(flat))
+
+    def test_too_few_ratios(self):
+        # two ratios, so three steps, are the fewest that give a rate: four
+        # means hold them in the default window, three means or the window
+        # of the last three do not
+        hist = 0.5 ** np.arange(4.0).reshape(-1, 1, 1) * np.ones((4, 1, 1))
+        assert np.isnan(tail_contraction(hist[:3]))
+        assert tail_contraction(hist) == 0.5
+        assert np.isnan(tail_contraction(hist, tail_fraction=0.3))
+
+    @pytest.mark.parametrize("mode, seed, snapshots", [
+        ("zeros", 0, 8), ("zeros", 0, 2), ("random", 1, 8), ("random", 7, 2)],
+        ids=["zeros", "zeros, d < n", "random, b = n", "random, b < n"])
+    def test_step_record_gives_the_bits_of_the_history(self, mode, seed, snapshots):
+        # the steps each run records against those formed from its mean
+        # history, across chunk boundaries, with and without the start's
+        # complement coefficients
+        inst = _desk_instance(snapshots)
+        rep = spectral_report(inst.partition, inst.data, laplacian(inst.graph), 5.0, 2.0)
+        gains = SolverGains(k_P=5.0, k_I=2.0, alpha=0.5 * rep.alpha_max, t_max=300,
+                            stop_tol=0.0)
+        states, trace = run(Start(mode, seed), inst.graph, gains, inst.partition,
+                            inst.data, record_mean=True)
+        assert (states.row_basis is None) == (mode == "random" and snapshots == 2)
+        hist = trace.mean_history
+        rows = hist.reshape(len(hist), -1)
+        assert np.array_equal(trace.mean_steps, consensus._row_norms(rows[1:] - rows[:-1]))
+        assert trace.mean_norm == consensus._row_norms(rows[-1:])[0]
+        for fraction in (0.5, 0.2, 1.0):
+            estimate = tail_contraction(trace, fraction)
+            assert np.isfinite(estimate) and estimate == tail_contraction(hist, fraction)
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 0.9])
+    def test_desk_rate_matches_rho_max(self, theta):
+        # desk seed 5 run to convergence: the estimate lands within 5e-4 of
+        # the predicted rate (the distances to the final mean missed it by
+        # 9.2e-4, 1.4e-3 and 2.3e-3)
+        cfg = load_config(Path(__file__).parents[1] / "configs" / "desk.json", seed=5)
+        inst = build_instance(cfg.scenario, cfg.graph.preset, cfg.dictionary)
+        base = cfg.solver_gains()
+        rep = spectral_report(inst.partition, inst.data, laplacian(inst.graph),
+                              base.k_P, base.k_I)
+        alpha = theta * rep.alpha_max
+        _, trace = run(cfg.init, inst.graph, manual_gains(base, alpha), inst.partition,
+                       inst.data, series=False)
+        assert trace.converged and trace.mean_history is None
+        assert abs(tail_contraction(trace) - rep.rho_max(alpha)) <= 5e-4

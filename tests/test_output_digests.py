@@ -37,6 +37,7 @@ def test_deviations_of_two_hand_made_runs(digests, tmp_path):
     assert digests.deviations(here, other, names) == [
         "run/extra.csv: only here",
         "run/m.csv: max abs deviation 0.5 (largest |value| 4)",
+        "  2,2: 2.0 -> 2.5",
         "run/r.json: keys differ: +b.new",
         f"run/gone.txt: only in {other}",
     ]
@@ -47,3 +48,21 @@ def test_identical_runs_have_no_deviations(digests, tmp_path):
     _write(tmp_path / "a", files)
     _write(tmp_path / "b", files)
     assert digests.deviations(tmp_path / "a", tmp_path / "b", sorted(files)) == []
+
+
+def test_cells_of_a_small_csv_listed(digests, tmp_path):
+    # each differing cell of a CSV of at most 20 rows is listed with its old
+    # (other) and new (here) text; an empty cell reads ''; a larger CSV
+    # keeps its one line
+    here, other = tmp_path / "here", tmp_path / "other"
+    small = "theta,contraction\n0.3,0.99831\n0.5,\n0.9,0.95\n"
+    _write(here, {"run/a.csv": small, "run/big.csv": "1.0\n" * 21 + "2.0\n"})
+    _write(other, {"run/a.csv": "theta,contraction\n0.3,0.99672\n0.5,0.9956\n0.9,0.95\n",
+                   "run/big.csv": "1.0\n" * 22})
+    names = ["run/a.csv", "run/big.csv"]
+    assert digests.deviations(here, other, names) == [
+        "run/a.csv: max abs deviation 0.00159 (largest |value| 0.998), 1 text cells differ",
+        "  2,2: 0.99672 -> 0.99831",
+        "  3,2: 0.9956 -> ''",
+        "run/big.csv: max abs deviation 1 (largest |value| 2)",
+    ]

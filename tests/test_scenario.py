@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dkoopman import scenario
 from dkoopman.consensus import SolverGains, Start, initial_states, manual_gains, \
     partition_data, run, spectral_report
 from dkoopman.edmd import SnapshotSequence, centralized_solve, lift, \
@@ -43,16 +44,26 @@ class TestGridScenarioValidation:
     @pytest.mark.parametrize("field, value", [
         ("grid_side", 1), ("num_agents", 0), ("snapshots_per_agent", 0), ("blob_count", -1),
         ("diffusion", 0.3), ("saturation_gain", 1.5), ("drift", (1.0, np.inf)),
-        ("drift", (1.0,)), ("seed", -1), ("burn_in", -1)])
+        ("drift", (1.0,)), ("seed", -1), ("burn_in", -1),
+        ("grid_side", 4.5), ("seed", True), ("num_agents", 2.0), ("snapshots_per_agent", "3"),
+        ("blob_count", False), ("burn_in", 1.0)])
     def test_each_rule_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
             GridScenario(**{field: value})
+
+
+    def test_numpy_integers_accepted(self):
+        scn = GridScenario(grid_side=np.int64(4), num_agents=np.int32(2), seed=np.uint8(3))
+        assert scn.num_samples == 6 and scn.feature_dim == 16
+        assert Rollout(steps=np.int64(2)).steps == 2
 
 
 class TestRollout:
     @pytest.mark.parametrize("kwargs, match", [
         ({"steps": 0}, "^steps must be positive"),
         ({"start": "middle"}, "^start must be 'last_train' or 'first_train', got 'middle'"),
+        ({"steps": 2.5}, "^steps must be an integer, got 2.5"),
+        ({"steps": True}, "^steps must be an integer, got True"),
     ])
     def test_refused(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -133,6 +144,19 @@ class TestGenerate:
             step = advance(frames[k - 1], scn)
             assert step.tobytes() == frames[k].tobytes()
             assert not np.shares_memory(step, frames)
+
+    def test_advection_planned_once_per_trajectory(self, monkeypatch):
+        planned = []
+
+        def counting(*args):
+            planned.append(args)
+            return real(*args)
+
+        real = scenario._advection_plan
+        monkeypatch.setattr(scenario, "_advection_plan", counting)
+        scn = GridScenario(grid_side=6, drift=(0.5, 0.25), seed=11, burn_in=9)
+        simulate_frames(scn, 8)
+        assert planned == [(0.5, 0.25, (6, 6))]
 
     @pytest.mark.parametrize("drift", [(1.0, 0.0), (0.0, 0.0), (-2.0, 3.0), (0.4, 0.0),
                                        (0.0, -1.3), (0.4, 0.7)])
