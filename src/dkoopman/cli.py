@@ -6,12 +6,14 @@ Subcommands: ``experiment`` (full pipeline, figure data + report.json),
 ``solve-central`` (X.csv + Y.csv -> Kstar.csv).
 
 Exit codes: 0 success, 2 config error (an instance with no finite spectral
-analysis included), 3 disconnected graph, 4 divergence.
+analysis, or one too large to allocate, included), 3 disconnected graph,
+4 divergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 import warnings
@@ -100,7 +102,8 @@ def cmd_experiment(cfg: RunConfig) -> int:
 
 
 def cmd_alpha_sweep(cfg: RunConfig) -> int:
-    inst = build_instance(cfg.scenario, _resolve_graph(cfg), cfg.dictionary)
+    inst = build_instance(cfg.scenario, _resolve_graph(cfg), cfg.dictionary,
+                          rank_tol=cfg.rank_tol)
     lap = laplacian(inst.graph)
     base = cfg.solver_gains()
     report = spectral_report(inst.partition, inst.data, lap, base.k_P, base.k_I)
@@ -130,8 +133,36 @@ def cmd_alpha_sweep(cfg: RunConfig) -> int:
     return 0
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                         "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def _benchmark_env(cfg: RunConfig) -> dict:
+    """What the timings depend on besides the code: the host's cores, the
+    BLAS build and its thread variables, the interpreter and library
+    versions, and the config (without ``out_dir``) and seed of the run."""
+    import platform  # imported here: no other command needs it
+    from importlib.metadata import version  # not ``import scipy``: nothing here needs it
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = to_dict(cfg)
+    del config["out_dir"]
+    return {
+        "cpu_count": os.cpu_count(),
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": version("scipy"),
+        "config": config,
+        "seed": cfg.scenario.seed,
+    }
+
+
 def cmd_benchmark(cfg: RunConfig) -> int:
-    inst = build_instance(cfg.scenario, _resolve_graph(cfg), cfg.dictionary)
+    inst = build_instance(cfg.scenario, _resolve_graph(cfg), cfg.dictionary,
+                          rank_tol=cfg.rank_tol)
     base = cfg.solver_gains()
     report = spectral_report(inst.partition, inst.data, laplacian(inst.graph),
                              base.k_P, base.k_I)
@@ -151,8 +182,9 @@ def cmd_benchmark(cfg: RunConfig) -> int:
 
     central_ms = []
     for _ in range(reps):
+        data = LiftedData(inst.data.X, inst.data.Y, cfg.rank_tol)  # its SVD is not yet taken
         t0 = time.perf_counter()
-        centralized_solve(inst.data, cfg.rank_tol)
+        centralized_solve(data)
         central_ms.append(1e3 * (time.perf_counter() - t0))
 
     iter_ms = []
@@ -169,6 +201,7 @@ def cmd_benchmark(cfg: RunConfig) -> int:
         "run_iterations": trace.iterations,
         "rounds_timed": rounds,
         "repeats": reps,
+        "env": _benchmark_env(cfg),
     })
     print(f"benchmark written to {out / 'benchmark.json'}")
     return 0
@@ -252,6 +285,9 @@ def main(argv=None) -> int:
         return 3
     except (ConfigError, GraphError, NotSemiHurwitzError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: the run does not fit in memory: {exc}", file=sys.stderr)
         return 2
 
 

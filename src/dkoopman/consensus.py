@@ -46,8 +46,7 @@ import numpy as np
 
 from .edmd import LiftedData
 from .graphs import DisconnectedGraphError, Graph, is_connected, laplacian
-from .linalg import (ZERO_TOL_FACTOR, Spectrum, as_matrix, eigenvalues, psd_sqrt,
-                     range_basis, range_svd)
+from .linalg import ZERO_TOL_FACTOR, Spectrum, as_matrix, eigenvalues, psd_sqrt
 
 DIVERGENCE_GUARD = 1e12
 
@@ -197,8 +196,9 @@ class SpectralReport:
     ``alpha_max``, ``n_zero`` and ``semi_hurwitz`` are evaluated on the
     spectrum of M~.  M and M~ are isospectral, so ``spectrum_M`` holds the
     same eigenvalues with M's own zero cutoff.  ``rank`` is the rank r of
-    the data X; a connected graph gives exactly ``n_zero_structural`` =
-    2n - r zero eigenvalues, which the report holds as exact zeros.
+    the data X under its cutoff (``LiftedData.range``); a connected graph
+    gives exactly ``n_zero_structural`` = 2n - r zero eigenvalues, which the
+    report holds as exact zeros.
 
     Every other eigenvalue is nonzero, but those too small for the cutoff
     count in ``n_zero`` as well: ``n_unresolved`` = ``n_zero`` -
@@ -349,8 +349,9 @@ def spectral_report(part: Partition, data: LiftedData, L: np.ndarray,
                     k_P: float, k_I: float) -> SpectralReport:
     """Spectrum of M~ per Laplacian eigenmode, and the step-size analysis.
 
-    With Q an orthonormal basis of V = range(X) (rank r under the
-    ``pseudoinverse`` cutoff) and L = U diag(mu) U^T, M~ on V^p in the basis
+    With Q an orthonormal basis of V = range(X) (``data.range``, rank r
+    under the data's cutoff, so the analysis is that of the data Q Q^T X)
+    and L = U diag(mu) U^T, M~ on V^p in the basis
     U kron Q has the K-block -sum_i U[i, a] U[i, b] G_i - k_P mu_a delta_ab I_r
     (G_i the Gram of Q^T X_i) and the coupling +/- sqrt(k_I mu_a) I_r, which
     vanishes on mu_0 = 0: mode 0's r integral coordinates are exact zeros,
@@ -365,7 +366,7 @@ def spectral_report(part: Partition, data: LiftedData, L: np.ndarray,
     p, n = L.shape[0], data.feature_dim
     if part.p != p:
         raise ValueError(f"partition has {part.p} agents, Laplacian has {p}")
-    Q, sigma = range_svd(data.X)
+    Q, sigma = data.range.U, data.range.s
     r = Q.shape[1]
     G = np.array([Xi_t @ Xi_t.T for Xi_t in (Q.T @ Xi for Xi, _ in part.blocks(data))])
     mu, U = np.linalg.eigh(L)
@@ -439,8 +440,10 @@ class _Reduced:
     Every gradient (K_i X_i - Y_i) X_i^T has its rows in V = range(X), and
     the Grams X_i X_i^T are the only place the data enters, so the rows of a
     state outside V move by the Laplacian mix and the integral term alone.
-    B is Q = range_basis(X) (the ``pseudoinverse`` rank rule) for every
-    start: K_i = W_i B^T + U_i and R_i = S_i B^T + V_i, where the start's
+    B is Q = ``data.range.U`` (range(X) under the data's cutoff) for every
+    start, and the solver runs on the data B B^T X, whose consensus fixed
+    point is the K* = Y pinv(X) of the same cutoff.  K_i = W_i B^T + U_i and
+    R_i = S_i B^T + V_i, where the start's
     rows outside V, the 2p complements M_j - M_j B B^T of M_j = K_j(0),
     R_j(0), are taken once in the orthonormal basis Phi of a thin QR of
     their vecs; their coefficients then evolve by the same mix P as the
@@ -487,7 +490,7 @@ class _Reduced:
                 mats = None
         if count != p or part.p != p:
             raise ValueError(f"got {count} states, partition p={part.p}, graph p={p}")
-        B = range_basis(data.X)
+        B = data.range.U
         b = B.shape[1]
         H = np.linalg.qr(data.Y)[0] if mats is None and data.num_samples < n else None
         d = n if H is None else H.shape[1]
@@ -683,9 +686,10 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     :class:`_Reduced`: with B, H and Phi orthonormal, ||K_i - K_j||_F =
     ||Z_i - Z_j||_F over a whole row of the state, complement coefficients
     included, as are the guard's ||K_i||_F and ||sum_i R_i||_F.  The rows
-    outside range(X) are annihilated by X, so the residual K_i X - Y is
-    H (W_i^T X~ - Y^) and the stationarity norm ||X~ (X~^T Wbar - Y^^T)||_F,
-    read from the W blocks alone.  The rounds go in
+    outside B are annihilated by the data B B^T X the solver runs on, so the
+    residual K_i B B^T X - Y is H (W_i^T X~ - Y^) and the stationarity norm
+    ||X~ (X~^T Wbar - Y^^T)||_F, read from the W blocks alone; under the
+    default cutoff, B B^T X is X up to roundoff.  The rounds go in
     chunks of up to 32 written into one buffer, and each chunk's
     diagnostics are computed at once and kept as one block of the series;
     the first round that stops or diverges ends the run, and the rest of

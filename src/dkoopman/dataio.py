@@ -12,9 +12,9 @@ The text writers format each distinct value once.  The paper-scale outputs
 repeat a few dozen values thousands of times, so matrices and spectra are
 formatted per distinct bit pattern, and ``write_json`` reuses the text of
 each repeated list of floats.  The bytes are those of formatting every
-entry on its own.  A matrix whose distinct rows repeat no value takes one
-%-template per row instead, the faster path for such data; the choice is
-made from the data alone.
+entry on its own.  A matrix whose distinct rows hold mostly distinct values
+takes one %-template per row instead, the faster path for such data; the
+choice is made from the data alone.
 """
 
 from __future__ import annotations
@@ -59,6 +59,13 @@ def _csv_text(template: str, rows, header: tuple[str, ...] = ()) -> str:
     return "\n".join([*header, *(template % tuple(row) for row in rows)]) + "\n"
 
 
+# The per-value path formats each distinct value once but then gathers the
+# texts of every line, at 0.2 (100 x 100) to 0.6 (1500 x 1500) of a template's
+# cost per value: it paid below a distinct share of 0.45 on small matrices and
+# of 0.15 at 1500 x 1500, and one in eight keeps it ahead at every size measured.
+_DEDUPE_SHARE = 1 / 8
+
+
 def _csv_rows(matrix) -> list[bytes]:
     """The ``%.17g`` line of each row of ``matrix``, each distinct value formatted once.
 
@@ -67,9 +74,10 @@ def _csv_rows(matrix) -> list[bytes]:
     on its own.  Operators fitted to the paper-scale data repeat rows and
     values: every pixel runs the same logistic cycle in one of a few phases,
     so K*, K_ave and their difference inherit bit-identical rows built from
-    a few dozen values, and a spectrum repeats its exact zeros.  When the
-    distinct rows hold no repeated value, one %-template per row is the
-    cheaper way to the same text, and that path is taken instead.  Each line
+    a few dozen values, and a spectrum repeats its exact zeros.  Unless
+    the share of distinct values in the distinct rows is below
+    ``_DEDUPE_SHARE``, one %-template per row is the cheaper way to the same
+    text, and that path is taken instead.  Each line
     ends in a newline and is encoded once per distinct row, so a file's text
     is copied only once, into its bytes.
     """
@@ -80,7 +88,7 @@ def _csv_rows(matrix) -> list[bytes]:
     bits = rows.view(np.uint64)
     values = np.sort(bits, axis=None)  # numpy 2's np.unique hashes: 30 times slower here
     repeated = values[1:] == values[:-1]
-    if not repeated.any():
+    if values.size - np.count_nonzero(repeated) >= _DEDUPE_SHARE * values.size:
         template = ",".join(["%.17g"] * arr.shape[1]) + "\n"
         texts = [(template % tuple(row)).encode() for row in rows]
     else:

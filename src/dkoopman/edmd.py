@@ -10,12 +10,13 @@ closed form as Y @ pinv(X).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
 
-from .linalg import DimensionError, as_count, as_matrix, pseudoinverse
+from .linalg import DimensionError, Range, as_count, as_matrix, range_svd
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,10 +138,20 @@ class SnapshotSequence:
 
 @dataclass(frozen=True, eq=False)
 class LiftedData:
-    """Paired n x N data matrices; column k of Y lifts the successor of column k of X."""
+    """Paired n x N data matrices; column k of Y lifts the successor of column k of X.
+
+    The data carries its rank cutoff ``rank_tol`` (None: the default of
+    :func:`~dkoopman.linalg.range_svd`), and :attr:`range` holds range(X)
+    under it, from one SVD taken on first read.  Every reader of the data's
+    rank reads that one value: the spectral report's Grams and rank, the
+    solver's basis B, the centralized solve's pseudoinverse and the basis of
+    K*'s spectrum.  With a cutoff that drops singular values, they all see
+    the data B B^T X.
+    """
 
     X: np.ndarray
     Y: np.ndarray
+    rank_tol: float | None = None
 
     def __post_init__(self):
         X, Y = as_matrix(self.X, "X"), as_matrix(self.Y, "Y")
@@ -148,6 +159,11 @@ class LiftedData:
             raise DimensionError(f"X and Y need one nonempty shape, got {X.shape} / {Y.shape}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
+
+    @cached_property
+    def range(self) -> Range:
+        """range(X) under ``rank_tol``: the kept U columns, sigmas and V^T rows."""
+        return range_svd(self.X, self.rank_tol)
 
     @property
     def feature_dim(self) -> int:
@@ -175,13 +191,15 @@ class KoopmanModel:
         return int(self.K.shape[0])
 
 
-def lift(seq: SnapshotSequence, dictionary: Dictionary) -> LiftedData:
-    """Evaluate the dictionary on consecutive states: X[:,k]=Psi(x_k), Y[:,k]=Psi(x_{k+1})."""
+def lift(seq: SnapshotSequence, dictionary: Dictionary,
+         rank_tol: float | None = None) -> LiftedData:
+    """Evaluate the dictionary on consecutive states: X[:,k]=Psi(x_k), Y[:,k]=Psi(x_{k+1});
+    the data carries the rank cutoff ``rank_tol``."""
     if dictionary.input_dim != seq.state_dim:
         raise DimensionError(
             f"dictionary input dim {dictionary.input_dim} != state dim {seq.state_dim}")
     lifted = np.column_stack([dictionary.lift_state(x) for x in seq.states])
-    return LiftedData(X=lifted[:, :-1], Y=lifted[:, 1:])
+    return LiftedData(X=lifted[:, :-1], Y=lifted[:, 1:], rank_tol=rank_tol)
 
 
 def centralized_solve(data: LiftedData, rank_tol: float | None = None) -> KoopmanModel:
@@ -189,9 +207,11 @@ def centralized_solve(data: LiftedData, rank_tol: float | None = None) -> Koopma
 
     Among all minimizers of the squared-residual objective this is the one
     whose rows have no component on the orthogonal complement of range(X).
-    Rank-deficient X is handled by the pseudoinverse cutoff.
+    The pseudoinverse is that of ``data.range``; a ``rank_tol`` other than
+    the data's own takes an SVD of X under that cutoff instead.
     """
-    return KoopmanModel(data.Y @ pseudoinverse(data.X, rank_tol))
+    rng = data.range if rank_tol in (None, data.rank_tol) else range_svd(data.X, rank_tol)
+    return KoopmanModel(data.Y @ rng.pinv())
 
 
 def objective(model: KoopmanModel, data: LiftedData) -> float:

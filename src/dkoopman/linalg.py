@@ -8,6 +8,7 @@ no shared mutable state, so everything here is safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,8 +106,31 @@ def eigenvalues(a, zero_tol: float | None = None) -> Spectrum:
     return Spectrum(vals, float(zero_tol))
 
 
-def pseudoinverse(a, rank_tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
+class Range(NamedTuple):  # a fifth of a frozen dataclass's import time
+    """range(A) under a rank cutoff, from one thin SVD A = U diag(s) V^T.
+
+    ``U`` (rows x r), ``s`` (r, largest first) and ``Vt`` (r x cols) hold
+    the singular triplets whose singular value is above the cutoff of
+    :func:`range_svd`, and r is the rank under it.  ``U`` is an orthonormal
+    basis of the kept range, and :meth:`pinv` inverts exactly those
+    directions.
+    """
+
+    U: np.ndarray
+    s: np.ndarray
+    Vt: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return int(self.s.size)
+
+    def pinv(self) -> np.ndarray:
+        """The pseudoinverse V diag(1 / s) U^T of the kept triplets."""
+        return (self.Vt.T * (1.0 / self.s)) @ self.U.T
+
+
+def range_svd(a, rank_tol: float | None = None) -> Range:
+    """The :class:`Range` of A from one SVD.
 
     Singular values at or below ``rank_tol`` are treated as zero.  The
     default tolerance is ``max(rows, cols) * eps * sigma_max``.
@@ -114,25 +138,19 @@ def pseudoinverse(a, rank_tol: float | None = None) -> np.ndarray:
     arr = as_matrix(a)
     u, s, vt = np.linalg.svd(arr, full_matrices=False)
     keep = s > _rank_cutoff(arr.shape, s, rank_tol)
-    s_inv = np.zeros_like(s)
-    s_inv[keep] = 1.0 / s[keep]
-    return (vt.T * s_inv) @ u.T
+    return Range(u[:, keep], s[keep], vt[keep])
+
+
+def pseudoinverse(a, rank_tol: float | None = None) -> np.ndarray:
+    """Moore-Penrose pseudoinverse under the :func:`range_svd` cutoff."""
+    return range_svd(a, rank_tol).pinv()
 
 
 def range_basis(a, rank_tol: float | None = None) -> np.ndarray:
-    """Orthonormal basis of range(A), one column per singular value above
-    the :func:`pseudoinverse` cutoff for the same ``rank_tol``, so it spans
-    exactly the directions that ``pseudoinverse(a, rank_tol)`` inverts."""
-    return range_svd(a, rank_tol)[0]
-
-
-def range_svd(a, rank_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`range_basis` and the singular values it keeps, largest first,
-    from one SVD."""
-    arr = as_matrix(a)
-    u, s, _ = np.linalg.svd(arr, full_matrices=False)
-    keep = s > _rank_cutoff(arr.shape, s, rank_tol)
-    return u[:, keep], s[keep]
+    """Orthonormal basis of range(A) under the :func:`range_svd` cutoff, so
+    it spans exactly the directions that ``pseudoinverse(a, rank_tol)``
+    inverts."""
+    return range_svd(a, rank_tol).U
 
 
 def _rank_cutoff(shape, s: np.ndarray, rank_tol: float | None) -> float:

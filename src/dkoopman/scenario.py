@@ -25,7 +25,7 @@ from .edmd import (Dictionary, KoopmanModel, LiftedData, SnapshotSequence,
                    centralized_solve, lift, parse_dictionary, rollout)
 from .graphs import (DisconnectedGraphError, Graph, GraphError, is_connected, laplacian,
                      preset_graph)
-from .linalg import eigenvalues, range_basis
+from .linalg import eigenvalues
 
 
 def _require_integer(name: str, value) -> None:
@@ -236,11 +236,12 @@ class Instance:
 
 def build_instance(scn: GridScenario, graph_preset: str | Graph = "ring",
                    dictionary_spec: str = "vectorization",
-                   extra_frames: int = 0) -> Instance:
+                   extra_frames: int = 0, rank_tol: float | None = None) -> Instance:
     """Build the topology, then generate frames, lift them, partition the columns.
 
     ``graph_preset`` is a preset name or a prebuilt :class:`Graph` on
-    exactly ``scn.num_agents`` vertices.
+    exactly ``scn.num_agents`` vertices; the lifted data carries the rank
+    cutoff ``rank_tol``.
     """
     if isinstance(graph_preset, Graph):
         graph = graph_preset
@@ -256,7 +257,7 @@ def build_instance(scn: GridScenario, graph_preset: str | Graph = "ring",
     frames = simulate_frames(scn, N + 1 + extra_frames)
     seq = SnapshotSequence(frames[:N + 1].reshape(N + 1, -1))
     dictionary = parse_dictionary(dictionary_spec, q=scn.feature_dim, seed=scn.seed)
-    data = lift(seq, dictionary)
+    data = lift(seq, dictionary, rank_tol)
     part = partition_data(data, sequential_widths(N, scn.num_agents))
     return Instance(frames, dictionary, data, part, graph)
 
@@ -333,10 +334,12 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
     solver, and evaluates the spectral comparison, the elementwise
     difference |K_ave - K*|, the fit-metric trace, and the multi-step
     prediction error of K_ave against the generated ground truth, as
-    ``Rollout(rollout_steps, rollout_start)`` sets it.
+    ``Rollout(rollout_steps, rollout_start)`` sets it.  The data carries
+    ``rank_tol``, so all of these read the one range(X) under that cutoff.
     """
     check = Rollout(rollout_steps, rollout_start)
-    inst = build_instance(scn, graph_preset, dictionary_spec, extra_frames=check.steps)
+    inst = build_instance(scn, graph_preset, dictionary_spec, extra_frames=check.steps,
+                          rank_tol=rank_tol)
     lap = laplacian(inst.graph)
     spectral = spectral_report(inst.partition, inst.data, lap, gains.k_P, gains.k_I)
     alpha = spectral.step_size(gains)
@@ -347,7 +350,7 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
     row_basis = states.row_basis
     del states
 
-    K_star = centralized_solve(inst.data, rank_tol)
+    K_star = centralized_solve(inst.data)
 
     # the lifted frames from the start on; truth[0] is Y[:, -1] or X[:, 0] bit for bit
     first = scn.num_samples if check.start == "last_train" else 0
@@ -359,7 +362,7 @@ def make_experiment(scn: GridScenario, gains: SolverGains, graph_preset: str = "
         K_star=K_star,
         K_ave=K_ave,
         # the rows of K* = Y pinv(X) lie in the range pinv inverts, those of K_ave in B
-        spectrum_K_star=_operator_spectrum(K_star.K, range_basis(inst.data.X, rank_tol)),
+        spectrum_K_star=_operator_spectrum(K_star.K, inst.data.range.U),
         spectrum_K_ave=_operator_spectrum(K_ave.K, row_basis),
         trace=trace,
         rollout_error=rollout_error,

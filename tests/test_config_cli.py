@@ -715,6 +715,27 @@ class TestBenchmarkCommand:
             assert bench[key] > 0.0
         assert bench["repeats"] == 3
 
+    def test_env_block(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        out = tmp_path / "bench"
+        cfg = small_config(out_dir=str(out), t_max=300, benchmark_repeats=1)
+        assert cli.main(["benchmark", "--config", write_config(tmp_path, cfg)]) == 0
+        env = dataio.read_json(out / "benchmark.json")["env"]
+        assert set(env) == {"cpu_count", "blas", "blas_threads", "PYTHONDONTWRITEBYTECODE",
+                            "python", "numpy", "scipy", "config", "seed"}
+        assert isinstance(env["cpu_count"], int) and env["cpu_count"] >= 1
+        assert set(env["blas"]) == {"name", "version"}
+        assert all(isinstance(v, str) for v in env["blas"].values())
+        assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["blas_threads"]["OMP_NUM_THREADS"] is None
+        assert set(env["blas_threads"]) == set(cli.BLAS_THREAD_VARIABLES)
+        assert env["numpy"] == np.__version__
+        assert all(re.fullmatch(r"\d+\.\d+\S*", env[key]) for key in ("python", "scipy"))
+        # the config without out_dir: from_dict reads it back as the run's config
+        assert "out_dir" not in env["config"] and env["seed"] == SMALL_SCENARIO["seed"]
+        assert from_dict(env["config"]) == from_dict({**cfg, "out_dir": "out"})
+
 
 class TestDataIO:
     def test_matrix_round_trip_17_digits(self, tmp_path):
@@ -730,7 +751,10 @@ class TestDataIO:
         distinct = rng.standard_normal((40, 30)) * 1e-3
         assert np.unique(distinct).size == distinct.size  # the row-template branch
         repeats = rng.standard_normal(4)[rng.integers(0, 4, (9, 6))]
-        for a in (np.array(special).reshape(3, 4), distinct, np.array([[7.0]]),
+        large = rng.standard_normal((300, 200))  # a few repeats in many distinct values
+        large[[0, 7, 150, 299], [3, 3, 199, 0]] = 0.0
+        large[5, :4] = large[9, 10]
+        for a in (np.array(special).reshape(3, 4), distinct, np.array([[7.0]]), large,
                   rng.standard_normal((3, 5))[[0, 1, 0, 2, 1, 0, 0]],  # repeated rows
                   repeats,  # values repeated within and across rows
                   np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 1.0]]),
@@ -1034,3 +1058,91 @@ def test_cli_import_leaves_scipy_optimize_out():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def _max_diff_over_kstar(out, cfg_path):
+    """max|K_ave - K*| / ||K*||_F of a run, with K* of the run's own cutoff."""
+    cfg = load_config(cfg_path)
+    inst = build_instance(cfg.scenario, cfg.graph.preset, cfg.dictionary,
+                          rank_tol=cfg.rank_tol)
+    k_star = centralized_solve(inst.data).K
+    diff = dataio.read_matrix_csv(out / "diff_matrix.csv")
+    return float(diff.max()) / float(np.linalg.norm(k_star))
+
+
+class TestOneRankRule:
+    """``rank_tol`` reaches every reader of range(X): the run converges on the
+    K* it is compared with, and X is decomposed once per command."""
+
+    def test_desk_cutoff_reaches_the_default_diff_level(self, tmp_path):
+        # sigma_15 = 0.778 and sigma_16 = 0.6255: 0.698 cuts sigma_16 alone
+        errs, reports = {}, {}
+        for name, extra in (("default", {}), ("cut", {"rank_tol": 0.698})):
+            out = tmp_path / name
+            path = write_config(tmp_path, {"scale": "desk", "out_dir": str(out), **extra},
+                                f"{name}.json")
+            assert cli.main(["experiment", "--config", path]) == 0
+            reports[name] = dataio.read_json(out / "report.json")
+            errs[name] = _max_diff_over_kstar(out, path)
+        assert reports["default"]["spectral"]["rank"] == 16
+        assert reports["cut"]["spectral"]["rank"] == 15
+        assert reports["cut"]["converged"]
+        assert errs["default"] <= 1e-10
+        assert errs["cut"] <= min(1e-7, 10 * errs["default"])
+
+    def test_paper_seed_16_resolves_with_a_cutoff_between_sigma_3_and_4(self, tmp_path):
+        # sigma_3 = 13.49, sigma_4 = 1.98e-5: under the default cutoff rank 4,
+        # and the fourth mode contracts by 1 - 1.6e-13 per round
+        cfg = load_config(None, scale="paper", seed=16)
+        inst = build_instance(cfg.scenario, cfg.graph.preset, cfg.dictionary)
+        assert inst.data.range.rank == 4
+        sigma = inst.data.range.s
+        out = tmp_path / "paper16"
+        path = write_config(tmp_path, {"scale": "paper", "scenario": {"seed": 16},
+                                       "rank_tol": float(np.sqrt(sigma[2] * sigma[3])),
+                                       "out_dir": str(out)})
+        assert cli.main(["experiment", "--config", path]) == 0
+        spectral = dataio.read_json(out / "report.json")["spectral"]
+        assert spectral["rank"] == 3
+        assert spectral["n_unresolved"] == spectral["n_unresolved_predicted"] == 0
+        assert _max_diff_over_kstar(out, path) <= 1e-12
+
+    @pytest.mark.parametrize("rank_tol", [None, 0.698])
+    def test_x_is_decomposed_once_per_command(self, tmp_path, monkeypatch, rank_tol):
+        svd, shapes = np.linalg.svd, []
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        cfg = {"scale": "desk", "rank_tol": rank_tol, "out_dir": str(tmp_path / "e")}
+        assert cli.main(["experiment", "--config", write_config(tmp_path, cfg)]) == 0
+        assert shapes == [(16, 24)]
+        shapes.clear()
+        cfg.update(out_dir=str(tmp_path / "s"), t_max=300, sweep_thetas=[0.3, 0.5, 0.9, 1.5])
+        assert cli.main(["alpha-sweep", "--config", write_config(tmp_path, cfg)]) == 0
+        assert shapes == [(16, 24)]
+
+
+def test_too_large_to_allocate_exits_2(tmp_path):
+    # the (2p - 1)r = 239,600 square core of 300 agents on a 20 x 20 grid,
+    # under a 2 GiB address-space limit set in the child alone
+    resource = pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    path = write_config(tmp_path, {"scale": "desk", "out_dir": str(tmp_path / "out"),
+                                   "scenario": {"num_agents": 300, "grid_side": 20}})
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+    result = subprocess.run([sys.executable, "-m", "dkoopman.cli", "experiment",
+                             "--config", path], env=env, capture_output=True, text=True,
+                            preexec_fn=limit, timeout=120)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert "Unable to allocate" in lines[0]

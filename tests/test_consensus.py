@@ -1359,3 +1359,57 @@ class TestTailContraction:
                        inst.data, series=False)
         assert trace.converged and trace.mean_history is None
         assert abs(tail_contraction(trace) - rep.rho_max(alpha)) <= 5e-4
+
+
+class TestRankCutoff:
+    """With a ``rank_tol`` that drops singular values, every reader of the
+    data's rank reads one range(X), and the solver runs on B B^T X with
+    B = ``data.range.U``.  The oracle is the dense update law on that data;
+    on desk with rank_tol 0.698 (sigma_15 = 0.778 kept, sigma_16 = 0.6255
+    cut) the states and series of 300 rounds agree to the 1e-12 bounds of
+    TestReducedKernel.
+    """
+
+    @staticmethod
+    def _cut_desk():
+        inst = _desk_instance()
+        data = LiftedData(inst.data.X, inst.data.Y, rank_tol=0.698)
+        B = data.range.U
+        return inst, data, LiftedData(B @ (B.T @ data.X), data.Y)
+
+    def test_one_range_for_every_reader(self):
+        inst, data, cut = self._cut_desk()
+        assert data.range is data.range and data.range.rank == 15
+        lap = laplacian(inst.graph)
+        rep = spectral_report(inst.partition, data, lap, 5.0, 2.0)
+        dense = eigenvalues(assemble_M_tilde(inst.partition, cut, lap, 5.0, 2.0))
+        assert rep.rank == 15 and rep.n_zero_structural == 2 * 16 - 15
+        assert rep.n_zero == dense.n_zero == rep.n_zero_structural
+        assert rep.alpha_max == pytest.approx(compute_alpha_max(dense), rel=1e-10)
+        gains = SolverGains(k_P=5.0, k_I=2.0, alpha=0.01)
+        assert _Reduced(Start(), inst.graph, gains, inst.partition, data).B is data.range.U
+        # K* = Y pinv_tol(X) is the least-squares operator of the cut data
+        K_star = centralized_solve(data).K
+        assert np.linalg.norm(K_star - centralized_solve(cut).K) <= 1e-12 * np.linalg.norm(K_star)
+        assert np.array_equal(K_star, centralized_solve(inst.data, 0.698).K)
+
+    @pytest.mark.parametrize("mode", ["zeros", "random"])
+    def test_run_is_the_dense_law_on_the_cut_data(self, mode):
+        inst, data, cut = self._cut_desk()
+        alpha = 0.5 * spectral_report(inst.partition, data, laplacian(inst.graph),
+                                      5.0, 2.0).alpha_max
+        gains = SolverGains(k_P=5.0, k_I=2.0, alpha=alpha, t_max=300, stop_tol=0.0)
+        states, trace = run(Start(mode, 4), inst.graph, gains, inst.partition, data)
+        K0, R0 = _stacked(initial_states(3, 16, mode, 4))
+        K, R, dense = dense_run(K0, R0, inst.graph, gains, inst.partition, cut)
+        size = np.linalg.norm(K) + np.linalg.norm(R)
+        K_red, R_red = _stacked(states)
+        assert np.linalg.norm(K_red - K) <= 1e-12 * size
+        assert np.linalg.norm(R_red - R) <= 1e-12 * size
+        y, x = np.linalg.norm(cut.Y), np.linalg.norm(cut.X)
+        s, scale = y + np.linalg.norm(K0) * x, 1.0 + y * x + np.linalg.norm(K0)
+        for name, atol in (("fit_metric", 2e-14 * s), ("objective_mean", 1e-14 * s * s),
+                           ("consensus_error", 1e-12 * scale),
+                           ("kkt_residual", 1e-12 * scale),
+                           ("integral_sum_norm", 1e-12 * scale)):
+            assert np.all(np.abs(getattr(trace, name) - dense[name]) <= atol), name
