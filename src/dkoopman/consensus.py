@@ -46,7 +46,7 @@ import numpy as np
 
 from .edmd import LiftedData
 from .graphs import DisconnectedGraphError, Graph, is_connected, laplacian
-from .linalg import ZERO_TOL_FACTOR, Spectrum, as_matrix, eigenvalues, psd_sqrt
+from .linalg import ZERO_TOL_FACTOR, Spectrum, as_matrix, eigenvalues, psd_sqrt, require_integer
 
 DIVERGENCE_GUARD = 1e12
 
@@ -66,6 +66,8 @@ class Partition:
     widths: tuple[int, ...]
 
     def __post_init__(self):
+        for w in self.widths:
+            require_integer("widths", w)
         widths = tuple(int(w) for w in self.widths)
         if not widths or any(w < 1 for w in widths):
             raise ValueError(f"widths must be positive, got {self.widths!r}")
@@ -136,8 +138,8 @@ class Start:
     def __post_init__(self):
         if self.mode not in ("zeros", "random"):
             raise ValueError(f"mode must be 'zeros' or 'random', got {self.mode!r}")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
+        require_integer("seed", self.seed)
+        if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def operators(self, p: int, n: int) -> Iterator[np.ndarray] | None:
@@ -183,6 +185,7 @@ class SolverGains:
         if self.alpha_fraction is not None and not 0 < self.alpha_fraction < 1:
             raise ValueError("alpha_fraction must lie in (0, 1); "
                              "use an explicit alpha for step sizes at or above the bound")
+        require_integer("t_max", self.t_max)
         if self.t_max < 1:
             raise ValueError("t_max must be at least 1")
         if self.stop_tol < 0:
@@ -634,25 +637,6 @@ class RunTrace:
     mean_norm: float | None = None
 
 
-def kkt_residual(states, part: Partition, data: LiftedData, graph: Graph) -> float:
-    """Optimality diagnostic: ||(Kbar X - Y) X^T||_F + max_(i,j) ||K_i - K_j||_F.
-
-    Zero (within tolerance) exactly when the mean operator is stationary for
-    the aggregate least-squares cost and all local operators coincide, i.e.
-    the first-order optimality conditions of the consensus-constrained
-    problem hold.
-    """
-    if isinstance(states, Start):
-        raise ValueError("kkt_residual needs agent states, not a Start")
-    K, n = np.stack([s.K for s in states]), data.feature_dim
-    if K.shape != (graph.p, n, n) or part.p != graph.p:
-        raise ValueError(f"got states {K.shape}, partition p={part.p}, graph p={graph.p}")
-    Kbar = K.mean(axis=0)
-    stationarity = float(np.linalg.norm((Kbar @ data.X - data.Y) @ data.X.T, "fro"))
-    return stationarity + max((float(np.linalg.norm(K[i] - K[j], "fro"))
-                               for i, j in graph.edges), default=0.0)
-
-
 def _incidence(graph: Graph) -> np.ndarray:
     """Edge-by-agent matrix with +1 at i and -1 at j for each edge (i, j)."""
     E = np.zeros((len(graph.edges), graph.p))
@@ -691,9 +675,9 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     ||X~ (X~^T Wbar - Y^^T)||_F, read from the W blocks alone; under the
     default cutoff, B B^T X is X up to roundoff.  The rounds go in
     chunks of up to 32 written into one buffer, and each chunk's
-    diagnostics are computed at once and kept as one block of the series;
-    the first round that stops or diverges ends the run, and the rest of
-    its chunk is discarded.
+    diagnostics are computed at once and kept as one block of the per-round
+    record, the series and the step norms; the first round that stops or
+    diverges ends the run, and the rest of its chunk is discarded.
     """
     if not is_connected(graph):
         raise DisconnectedGraphError("solver requires a connected communication graph")
@@ -721,15 +705,15 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     # stay 0: the stationarity row's complement part, and the sum of S without series
     diag = np.zeros((k, m + 3, w))
     res = np.empty((k, p + 1, N, d))
-    blocks = []  # one compact (5, kc) copy of the series per chunk
+    # the per-round record, one block per chunk: the five series (with
+    # ``series``), then ||Wbar(t) - Wbar(t - 1)||_F, whose entry for round 1
+    # (measured from zero) is dropped at the end
+    blocks = []
     # bounded by the cap, and np.empty touches only the rows written
     record = record_mean and t_max * bd * 8 <= _HISTORY_BYTE_CAP
     mean_hist = np.empty((t_max, b, d)) if record else None
-    # the step record of rounds 2..t, grown by doubling; np.empty touches
-    # only the rows written.  The chunk's means are copied after the
-    # previous chunk's last one, into contiguous rows: subtracting the
-    # strided rows of ``diag`` took twice as long.
-    steps = np.empty(min(t_max - 1, 2**16))
+    # the chunk's means are copied after the previous chunk's last one, into
+    # contiguous rows: subtracting the strided rows of ``diag`` took twice as long
     mean_rows, step_rows = np.zeros((k + 1, bd)), np.empty((k, bd))
     t, converged, diverged, met = 0, False, False, False
 
@@ -769,29 +753,24 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
                 diverged = not worst[kc - 1] <= guard
                 converged = not diverged
 
-            if series:
-                blocks.append(np.array((cons[:kc], 0.5 * res_norms[:kc, 0] ** 2,
-                                         res_norms[:kc, 1:].sum(axis=1) / p, kkt[:kc],
-                                         norms[:kc, m + 2])))
             if record:
                 mean_hist[t:t + kc] = Wbar[:kc]
             mean_rows[1:kc + 1] = means[:kc]
             np.subtract(mean_rows[1:kc + 1], mean_rows[:kc], out=step_rows[:kc])
-            lo, hi = max(t - 1, 0), t + kc - 1
-            if hi > steps.size:
-                grown = np.empty(min(t_max - 1, 2 * hi))
-                grown[:lo] = steps[:lo]
-                steps = grown
-            steps[lo:hi] = _row_norms(step_rows[0 if t else 1:kc])
+            steps = _row_norms(step_rows[:kc])
+            blocks.append(np.array((cons[:kc], 0.5 * res_norms[:kc, 0] ** 2,
+                                    res_norms[:kc, 1:].sum(axis=1) / p, kkt[:kc],
+                                    norms[:kc, m + 2], steps)) if series else steps[None])
             mean_rows[0] = mean_rows[kc]
             t += kc
             buf[0] = buf[kc - 1 if diverged else kc]
         mean_norm = float(_row_norms(mean_rows[:1])[0])
 
-    trace = RunTrace(*(np.concatenate(blocks, axis=1) if series else [None] * 5),
+    rows = np.concatenate(blocks, axis=1)
+    trace = RunTrace(*(rows[:5] if series else [None] * 5),
                      converged=converged, diverged=diverged, iterations=t,
                      mean_history=mean_hist[:t] if record else None,
-                     mean_steps=steps[:t - 1], mean_norm=mean_norm)
+                     mean_steps=rows[-1, 1:], mean_norm=mean_norm)
     return ReducedStates(red, buf[0].copy()), trace  # not a view that holds the chunk buffer
 
 

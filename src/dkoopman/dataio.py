@@ -114,11 +114,6 @@ def write_spectrum_csv(path, eigs) -> None:
     atomic_write_bytes(path, b"".join([b"re,im\n", *rows]))
 
 
-def read_spectrum_csv(path) -> np.ndarray:
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return raw[:, 0] + 1j * raw[:, 1]
-
-
 TRACE_COLUMNS = ("iteration", "consensus_error", "objective_mean", "fit_metric",
                  "kkt_residual", "integral_sum_norm")
 

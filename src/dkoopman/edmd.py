@@ -234,17 +234,3 @@ def rollout(model: KoopmanModel, z0, steps: int) -> np.ndarray:
     for k in range(steps):
         out[k + 1] = model.K @ out[k]
     return out
-
-
-def fit_metric(models, data: LiftedData) -> float:
-    """Mean full-dataset residual (1/p) * sum_i ||Y - K_i X||_F."""
-    models = list(models)
-    if not models:
-        raise ValueError("need at least one model")
-    total = 0.0
-    for m in models:
-        if m.dim != data.feature_dim:
-            raise DimensionError(
-                f"operator dim {m.dim} != data feature dim {data.feature_dim}")
-        total += float(np.linalg.norm(data.Y - m.K @ data.X, "fro"))
-    return total / len(models)

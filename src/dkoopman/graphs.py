@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_count
+from .linalg import as_count, require_integer
 
 
 class GraphError(ValueError):
@@ -33,7 +33,8 @@ class Graph:
 
 def build_graph(p: int, edges) -> Graph:
     """Validate, deduplicate, and canonically order an edge list."""
-    if not isinstance(p, (int, np.integer)) or p < 1:
+    require_integer("vertex count", p, GraphError)
+    if p < 1:
         raise GraphError(f"vertex count must be a positive integer, got {p!r}")
     normalized = set()
     for edge in edges:
@@ -105,14 +106,9 @@ def preset_graph(name: str, p: int) -> Graph:
     return build_graph(p, edges)
 
 
-def format_graph_text(graph: Graph) -> str:
-    """Text form: first line p, then one 'i j' line per edge."""
-    lines = [str(graph.p)] + [f"{i} {j}" for i, j in graph.edges]
-    return "\n".join(lines) + "\n"
-
-
 def parse_graph_text(text: str) -> Graph:
-    """Inverse of :func:`format_graph_text`, in ASCII digits alone."""
+    """The graph of its text form: first line p, then one 'i j' line per
+    edge, in ASCII digits alone."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise GraphError("empty graph file")

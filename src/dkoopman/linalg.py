@@ -48,6 +48,13 @@ def as_count(text: str, name: str = "count") -> int:
     return int(text)
 
 
+def require_integer(name: str, value, error: type[ValueError] = ValueError) -> None:
+    """Refuse a value of the integer field ``name`` that is not an integer,
+    ``bool`` included, with ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 def frobenius_norm(a) -> float:
     """sqrt(trace(A^T A)); zero exactly when A is the zero matrix."""
     return float(np.linalg.norm(as_matrix(a), "fro"))
@@ -144,13 +151,6 @@ def range_svd(a, rank_tol: float | None = None) -> Range:
 def pseudoinverse(a, rank_tol: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudoinverse under the :func:`range_svd` cutoff."""
     return range_svd(a, rank_tol).pinv()
-
-
-def range_basis(a, rank_tol: float | None = None) -> np.ndarray:
-    """Orthonormal basis of range(A) under the :func:`range_svd` cutoff, so
-    it spans exactly the directions that ``pseudoinverse(a, rank_tol)``
-    inverts."""
-    return range_svd(a, rank_tol).U
 
 
 def _rank_cutoff(shape, s: np.ndarray, rank_tol: float | None) -> float:

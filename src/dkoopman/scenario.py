@@ -25,14 +25,7 @@ from .edmd import (Dictionary, KoopmanModel, LiftedData, SnapshotSequence,
                    centralized_solve, lift, parse_dictionary, rollout)
 from .graphs import (DisconnectedGraphError, Graph, GraphError, is_connected, laplacian,
                      preset_graph)
-from .linalg import eigenvalues
-
-
-def _require_integer(name: str, value) -> None:
-    """Refuse a value of the integer field ``name`` that is not an integer,
-    ``bool`` included."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+from .linalg import eigenvalues, require_integer
 
 
 @dataclass(frozen=True)
@@ -54,7 +47,7 @@ class GridScenario:
         object.__setattr__(self, "drift", tuple(float(v) for v in self.drift))
         for name in ("grid_side", "num_agents", "snapshots_per_agent", "blob_count",
                      "seed", "burn_in"):
-            _require_integer(name, getattr(self, name))
+            require_integer(name, getattr(self, name))
         if self.grid_side < 2:
             raise ValueError("grid_side must be at least 2")
         if self.num_agents < 1:
@@ -137,11 +130,6 @@ def _shift(u: np.ndarray, plan: tuple) -> np.ndarray:
     return out
 
 
-def _advect(u: np.ndarray, vx: float, vy: float) -> np.ndarray:
-    """Bilinear periodic shift of the field by (+vx, +vy)."""
-    return _shift(u, _advection_plan(vx, vy, u.shape))
-
-
 def _diffuse(u: np.ndarray, d: float) -> np.ndarray:
     if d == 0.0:
         return u
@@ -178,16 +166,6 @@ def _step(u: np.ndarray, scn: GridScenario, plan: tuple, out: np.ndarray,
     np.minimum(out, 1.0, out=out)
 
 
-def advance(frame, scn: GridScenario) -> np.ndarray:
-    """The frame-to-frame map: advect, diffuse, saturate, clip to [0, 1]."""
-    u = np.asarray(frame, dtype=float)
-    if u.ndim != 2:
-        raise ValueError(f"frame must be 2-D, got shape {u.shape}")
-    out = np.empty_like(u)
-    _step(u, scn, _advection_plan(*scn.drift, u.shape), out, np.empty((2, *u.shape)))
-    return out
-
-
 def simulate_frames(scn: GridScenario, count: int) -> np.ndarray:
     """(count, g, g) trajectory of the map, after discarding ``burn_in`` steps.
 
@@ -195,7 +173,7 @@ def simulate_frames(scn: GridScenario, count: int) -> np.ndarray:
     agents start observing (the paper-scale default parameters sit in the
     logistic period-3 window, where the settled frames repeat with period
     three and the agents' blocks coincide).  Each step writes into a
-    preallocated frame, with the same bits as :func:`advance`.
+    preallocated frame, with the bits of evaluating the map into fresh arrays.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -315,7 +293,7 @@ class Rollout:
     start: Literal["last_train", "first_train"] = "last_train"
 
     def __post_init__(self):
-        _require_integer("steps", self.steps)
+        require_integer("steps", self.steps)
         if self.steps < 1:
             raise ValueError("steps must be positive")
         if self.start not in ("last_train", "first_train"):

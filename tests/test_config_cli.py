@@ -23,6 +23,8 @@ from dkoopman.edmd import centralized_solve
 from dkoopman.linalg import eigenvalues, pseudoinverse, spectrum_distance
 from dkoopman.scenario import build_instance
 
+from oracles import read_spectrum_csv
+
 SMALL_SCENARIO = {"grid_side": 3, "num_agents": 3, "snapshots_per_agent": 6,
                   "seed": 9}
 
@@ -229,7 +231,7 @@ class TestExperimentCommand:
         assert report["rho_max"] < 1.0
         assert report["alpha_max"] > 0.0
         assert report["spectral"]["semi_hurwitz"] is True
-        spec = dataio.read_spectrum_csv(out / "spectrum_Kave.csv")
+        spec = read_spectrum_csv(out / "spectrum_Kave.csv")
         assert spec.shape == (9,)
         trace = (out / "fit_trace.csv").read_text().splitlines()
         assert trace[0] == "iteration,consensus_error,objective_mean,fit_metric," \
@@ -497,7 +499,7 @@ class TestExperimentCommand:
         for name in ("spectrum_Kstar.csv", "spectrum_Kave.csv"):
             lines = (out / name).read_text().splitlines()
             assert lines.count("0,0") == n - r, name
-            gap = spectrum_distance(dataio.read_spectrum_csv(out / name), dense)
+            gap = spectrum_distance(read_spectrum_csv(out / name), dense)
             assert gap <= 1e-9 * scale, name
         diff = dataio.read_matrix_csv(out / "diff_matrix.csv")
         assert diff.shape == (n, n) and diff.max() <= 1e-7 * scale
@@ -838,7 +840,7 @@ class TestDataIO:
     def test_spectrum_round_trip(self, tmp_path):
         eigs = np.array([1 + 2j, -0.5 - 1e-12j, 3.0 + 0j])
         dataio.write_spectrum_csv(tmp_path / "s.csv", eigs)
-        back = dataio.read_spectrum_csv(tmp_path / "s.csv")
+        back = read_spectrum_csv(tmp_path / "s.csv")
         assert np.array_equal(eigs, back)
 
     def test_frames_binary_round_trip(self, tmp_path):
@@ -1030,6 +1032,18 @@ def test_readme_config_example_is_the_default():
     raw = json.loads(re.sub(r"//.*", "", block))
     assert from_dict(raw) == from_dict({})
     assert raw.keys() == to_dict(from_dict({})).keys()  # every top-level key is shown
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's python block under "## Library" runs as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md (Library)", "exec"), namespace)
+    assert namespace["trace"].converged and namespace["experiment"].trace.converged
+    gap, rounds = capsys.readouterr().out.split()
+    assert float(gap) <= 1e-8 and int(rounds) == namespace["trace"].iterations
 
 
 class TestRankTolConfig:

@@ -10,19 +10,20 @@ from hypothesis import strategies as st
 from dkoopman import consensus
 from dkoopman.config import load_config
 from dkoopman.consensus import (DIVERGENCE_GUARD, AgentState, NotSemiHurwitzError,
-                                SolverGains, StepSizeError, assemble_M, assemble_M_tilde,
-                                assemble_block_X, compute_alpha_max, compute_rho_max,
-                                initial_states, iterate_rounds, kkt_residual,
+                                Partition, SolverGains, StepSizeError, assemble_M,
+                                assemble_M_tilde, assemble_block_X, compute_alpha_max,
+                                compute_rho_max, initial_states, iterate_rounds,
                                 manual_gains, partition_data, ReducedStates, run,
                                 semi_hurwitz_check, spectral_report, Start, step,
                                 tail_contraction, _quadratic_roots, _Reduced)
 from dkoopman.edmd import LiftedData, centralized_solve
 from dkoopman.graphs import (DisconnectedGraphError, build_graph, laplacian,
                              preset_graph)
-from dkoopman.linalg import (Spectrum, eigenvalues, frobenius_norm, range_basis,
+from dkoopman.linalg import (Spectrum, eigenvalues, frobenius_norm, range_svd,
                              spectrum_distance)
 from dkoopman.scenario import GridScenario, build_instance
 
+from oracles import kkt_residual
 from test_graphs import random_graph
 
 
@@ -68,6 +69,13 @@ class TestPartition:
         data = make_data(np.random.default_rng(0), 2, [2])
         with pytest.raises(ValueError):
             partition_data(data, [2, 0])
+
+    @pytest.mark.parametrize("widths, bad", [((2.7, 1), "2.7"), ((2, True), "True"),
+                                             ((3, "2"), "'2'")])
+    def test_widths_must_be_integers(self, widths, bad):
+        with pytest.raises(ValueError, match=f"^widths must be an integer, got {bad}$"):
+            Partition(widths)
+        assert Partition((np.int64(2), 1)).widths == (2, 1)
 
     def test_blocks_refuse_other_data(self):
         part = partition_data(make_data(np.random.default_rng(0), 2, [2, 2]), [2, 2])
@@ -267,6 +275,12 @@ class TestGains:
     def test_positive_gains(self):
         with pytest.raises(ValueError):
             SolverGains(k_P=0.0, k_I=1.0, alpha=0.1)
+
+    @pytest.mark.parametrize("t_max", [2.5, True, 3.0, "3"])
+    def test_t_max_must_be_an_integer(self, t_max):
+        with pytest.raises(ValueError, match=f"^t_max must be an integer, got {t_max!r}$"):
+            SolverGains(k_P=1.0, k_I=1.0, alpha=0.1, t_max=t_max)
+        assert SolverGains(k_P=1.0, k_I=1.0, alpha=0.1, t_max=np.int64(3)).t_max == 3
 
     def test_manual_override(self):
         g = SolverGains(k_P=1.0, k_I=1.0, alpha_fraction=0.5)
@@ -502,6 +516,22 @@ class TestKktResidual:
         states, trace = run(initial_states(3, 2), graph, gains, part, data)
         assert trace.converged
         assert kkt_residual(states, part, data, graph) <= gains.stop_tol
+
+    def test_a_cutoff_run_is_stationary_on_the_cut_data(self):
+        """Desk with rank_tol 0.698 converges in 6,666 rounds with a final
+        trace KKT residual of 9.9613e-11.  The oracle on the data B B^T X the
+        run solves reads 9.9615e-11, 2.4e-15 away; the tolerance is 1e-13,
+        about forty times that.  On the raw X it reads 0.967: the cut
+        direction sigma_16 = 0.6255 is not fitted, by design."""
+        inst, data, cut = TestRankCutoff._cut_desk()
+        alpha = 0.5 * spectral_report(inst.partition, data, laplacian(inst.graph),
+                                      5.0, 2.0).alpha_max
+        gains = SolverGains(k_P=5.0, k_I=2.0, alpha=alpha, t_max=20000, stop_tol=1e-10)
+        states, trace = run(Start(), inst.graph, gains, inst.partition, data)
+        assert trace.converged
+        oracle = kkt_residual(states, inst.partition, cut, inst.graph)
+        assert abs(oracle - trace.kkt_residual[-1]) <= 1e-13
+        assert kkt_residual(states, inst.partition, inst.data, inst.graph) > 0.9
 
 
 class TestSpectralReport:
@@ -817,7 +847,7 @@ class TestReducedKernel:
         # random K(0) rows span R^n and would hide a basis rule that ignores R(0)
         K0 = rng.uniform(-1.0, 1.0, (p, n, n)) if init == "random K" else np.zeros((p, n, n))
         if init == "low-rank K":  # every start row in range(X), r < n: a roundoff complement
-            K0 = rng.standard_normal((p, n, r)) @ range_basis(data.X).T
+            K0 = rng.standard_normal((p, n, r)) @ range_svd(data.X).U.T
         R0 = rng.uniform(-1.0, 1.0, (p, n, n)) if init == "random R" else np.zeros((p, n, n))
         states = [AgentState(K0[i], R0[i]) for i in range(p)]
         K, R, dense = dense_run(K0, R0, graph, gains, part, data, keep_states=True)
@@ -827,7 +857,7 @@ class TestReducedKernel:
         else:
             out, trace = run(states, graph, gains, part, data, record_mean=True)
             red = _Reduced(states, graph, gains, part, data)
-            assert np.array_equal(red.B, range_basis(data.X))
+            assert np.array_equal(red.B, range_svd(data.X).U)
             if red.Phi is None:
                 assert np.array_equal(out.row_basis, red.B)
             else:
@@ -984,14 +1014,14 @@ class TestChunkedRun:
         rng = np.random.default_rng(31)
         K0 = np.zeros((2, 12, 12))
         if init == "low-rank K":
-            K0 = rng.standard_normal((2, 12, r)) @ range_basis(data.X).T
+            K0 = rng.standard_normal((2, 12, r)) @ range_svd(data.X).U.T
         elif init == "random K":
             K0 = rng.uniform(-1.0, 1.0, (2, 12, 12))
         alpha = 0.5 * spectral_report(part, data, laplacian(graph), 2.0, 1.0).alpha_max
         gains = SolverGains(k_P=2.0, k_I=1.0, alpha=alpha, t_max=100, stop_tol=0.0)
         states = [AgentState(K0[i], np.zeros((12, 12))) for i in range(2)]
         red = _Reduced(states, graph, gains, part, data)
-        assert np.array_equal(red.B, range_basis(data.X)) and red.G.shape == (2, r, r)
+        assert np.array_equal(red.B, range_svd(data.X).U) and red.G.shape == (2, r, r)
         if init == "zeros":
             assert red.H.shape == (12, 3) and red.Z0.shape == (2 * 2, r * 3)
         else:
@@ -1209,7 +1239,10 @@ class TestStart:
     @pytest.mark.parametrize("mode", ["zeros", "random"])
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
     def test_seed_must_be_a_nonnegative_integer(self, mode, seed):
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        # the integer rule of every config integer field, then the range
+        match = ("^seed must be a nonnegative integer, got -1$" if seed == -1
+                 else f"^seed must be an integer, got {seed!r}$")
+        with pytest.raises(ValueError, match=match):
             Start(mode, seed)
         assert Start(mode, np.int64(3)).seed == 3
 

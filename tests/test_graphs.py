@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from dkoopman.graphs import (GraphError, build_graph, format_graph_text, is_connected,
-                             laplacian, parse_graph_text, preset_graph)
+from dkoopman.graphs import (GraphError, build_graph, is_connected, laplacian,
+                             parse_graph_text, preset_graph)
 from dkoopman.linalg import eigenvalues
+
+from oracles import format_graph_text
 
 
 def random_graph(rng, p, connected=True):
@@ -51,6 +53,12 @@ class TestBuildGraph:
     def test_bad_vertex_count(self):
         with pytest.raises(GraphError):
             build_graph(0, [])
+
+    @pytest.mark.parametrize("p", [True, 2.0, 2.5, "3"])
+    def test_vertex_count_must_be_an_integer(self, p):
+        with pytest.raises(GraphError, match=f"^vertex count must be an integer, got {p!r}$"):
+            build_graph(p, [])
+        assert build_graph(np.int64(2), [(0, 1)]).p == 2
 
 
 class TestConnectivity:

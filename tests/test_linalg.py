@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dkoopman.linalg import (DimensionError, NotPSDError, Spectrum, eigenvalues,
-                             frobenius_norm, pseudoinverse, psd_sqrt, range_basis,
+                             frobenius_norm, pseudoinverse, psd_sqrt, range_svd,
                              spectrum_distance)
 
 
@@ -139,21 +139,21 @@ class TestRangeBasis:
     def test_rank_deficient_projector(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 6))
-        q = range_basis(a)
+        q = range_svd(a).U
         assert q.shape == (5, 2)
         assert np.allclose(q.T @ q, np.eye(2), atol=1e-12)
         # Q Q^T is the projector A A^+ onto range(A)
         assert np.allclose(q @ q.T, a @ pseudoinverse(a), atol=1e-12)
 
     def test_zero_matrix_has_empty_basis(self):
-        assert range_basis(np.zeros((4, 3))).shape == (4, 0)
+        assert range_svd(np.zeros((4, 3))).U.shape == (4, 0)
 
     def test_rank_tol_matches_the_pseudoinverse(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 7)) \
             + 1e-9 * rng.standard_normal((6, 7))
-        assert range_basis(a).shape == (6, 6)
-        q = range_basis(a, rank_tol=1e-6)
+        assert range_svd(a).U.shape == (6, 6)
+        q = range_svd(a, rank_tol=1e-6).U
         assert q.shape == (6, 2)
         assert np.allclose(q @ q.T, a @ pseudoinverse(a, rank_tol=1e-6), atol=1e-12)
 

@@ -11,10 +11,11 @@ from dkoopman.consensus import SolverGains, Start, initial_states, manual_gains,
 from dkoopman.edmd import SnapshotSequence, centralized_solve, lift, \
     vectorization_dictionary
 from dkoopman.graphs import laplacian, preset_graph
-from dkoopman.linalg import eigenvalues, range_basis, spectrum_distance
-from dkoopman.scenario import (GridScenario, Rollout, _advect, _operator_spectrum,
-                               advance, build_instance, make_experiment,
-                               sequential_widths, simulate_frames)
+from dkoopman.linalg import eigenvalues, range_svd, spectrum_distance
+from dkoopman.scenario import (GridScenario, Rollout, _operator_spectrum, build_instance,
+                               make_experiment, sequential_widths, simulate_frames)
+
+from oracles import _advect, advance
 
 DESK = GridScenario(grid_side=4, num_agents=3, snapshots_per_agent=8, blob_count=6,
                     drift=(1.0, 0.0), diffusion=0.0, saturation_gain=1.0, seed=5,
@@ -328,7 +329,7 @@ class TestOperatorSpectrum:
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 12), st.booleans(),
            st.integers(0, 2**32 - 1))
     def test_core_spectrum_matches_dense(self, n, N, r, set_tol, seed):
-        """K = A B^T with B = range_basis(X, rank_tol) for an X of rank r.
+        """K = A B^T with B = range_svd(X, rank_tol).U for an X of rank r.
 
         Covers n > b, r = 0 (an all-zero X, so b = 0 and K = 0), b = n, and a
         set ``rank_tol`` that drops a 1e-12 full-rank perturbation of X.  The
@@ -343,7 +344,7 @@ class TestOperatorSpectrum:
         if set_tol:
             X += 1e-12 * rng.standard_normal((n, N))
             rank_tol = 1e-8
-        B = range_basis(X, rank_tol)
+        B = range_svd(X, rank_tol).U
         b = B.shape[1]
         K = rng.standard_normal((n, b)) @ B.T
         dense = eigenvalues(K).eigenvalues
