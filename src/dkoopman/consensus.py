@@ -46,7 +46,8 @@ import numpy as np
 
 from .edmd import LiftedData
 from .graphs import DisconnectedGraphError, Graph, is_connected, laplacian
-from .linalg import ZERO_TOL_FACTOR, Spectrum, as_matrix, eigenvalues, psd_sqrt, require_integer
+from .linalg import (ZERO_TOL_FACTOR, Spectrum, Uniform, as_matrix, eigenvalues, psd_sqrt,
+                     require_integer)
 
 DIVERGENCE_GUARD = 1e12
 
@@ -124,8 +125,10 @@ class AgentState:
 @dataclass(frozen=True)
 class Start:
     """The agents' start as a value: K_i(0) all zero (``zeros``) or drawn
-    uniform(-1, 1) from ``numpy.random.default_rng(seed)`` one agent at a
-    time (``random``); R_i(0) = 0 always.
+    uniform(-1, 1) one agent at a time (``random``); R_i(0) = 0 always.
+    The draws come from :class:`~dkoopman.linalg.Uniform`: those of
+    ``numpy.random.default_rng(seed).uniform``, bit for bit, without
+    importing ``numpy.random``.
 
     :func:`run` and :func:`iterate_rounds` take a ``Start`` in place of a
     sequence of agent states, and a zero start then forms no n x n array.
@@ -147,7 +150,7 @@ class Start:
         consumed; None for a zero start."""
         if self.mode == "zeros":
             return None
-        rng = np.random.default_rng(self.seed)
+        rng = Uniform(self.seed)
         return (rng.uniform(-1.0, 1.0, (n, n)) for _ in range(p))
 
 

@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .linalg import DimensionError, Range, as_count, as_matrix, range_svd
+from .linalg import DimensionError, Range, Uniform, as_count, as_matrix, range_svd
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +98,9 @@ def parse_dictionary(spec: str, q: int, seed: int = 0) -> Dictionary:
 
     ``"vectorization"``, ``"monomial:<max_degree>"``, or
     ``"radial:<num_centers>:<width>"`` (centers drawn uniformly from
-    [0, 1]^q with the given seed), in ASCII without ``_``; the degree and
+    [0, 1]^q by :class:`~dkoopman.linalg.Uniform` with the given seed: the
+    draws of ``numpy.random.default_rng(seed).uniform``, bit for bit,
+    without importing ``numpy.random``), in ASCII without ``_``; the degree and
     the center count are digits alone.  A spec whose n x n arrays would
     exceed ``MAX_MATRIX_BYTES`` is refused from its n before anything is built.
     """
@@ -113,8 +115,7 @@ def parse_dictionary(spec: str, q: int, seed: int = 0) -> Dictionary:
         return monomial_dictionary(q, degree)
     if parts[0] == "radial" and len(parts) == 3:
         count = as_count(parts[1], "radial center count")
-        rng = np.random.default_rng(seed)
-        centers = rng.uniform(0.0, 1.0, size=(_feature_count(count), q))
+        centers = Uniform(seed).uniform(0.0, 1.0, size=(_feature_count(count), q))
         return radial_dictionary(centers, float(parts[2]))
     raise ValueError(f"cannot parse dictionary spec {spec!r}")
 

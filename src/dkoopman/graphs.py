@@ -42,6 +42,8 @@ def build_graph(p: int, edges) -> Graph:
             i, j = edge
         except (TypeError, ValueError):
             raise GraphError(f"edge {edge!r} is not a vertex pair") from None
+        for vertex in (i, j):
+            require_integer("vertex id", vertex, GraphError)
         i, j = int(i), int(j)
         if i == j:
             raise GraphError(f"self-loop ({i}, {j}) not allowed")

@@ -3,11 +3,14 @@
 All routines operate on plain float64 numpy arrays and are pure functions:
 identical inputs give bit-identical outputs within one build, and there is
 no shared mutable state, so everything here is safe to call concurrently.
+The one object with state, :class:`Uniform`, is a seeded stream of draws
+that each caller creates and owns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -181,6 +184,162 @@ def psd_sqrt(a) -> np.ndarray:
         raise NotPSDError(f"matrix has a significantly negative eigenvalue {w[0]:g}")
     w[w <= _rank_cutoff(arr.shape, w[::-1], None)] = 0.0
     return (v * np.sqrt(w)) @ v.T
+
+
+# numpy's SeedSequence hash constants (O'Neill's seed_seq_fe) and PCG64's
+# 128-bit LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _seed_words(seed: int) -> list[int]:
+    """``numpy.random.SeedSequence(seed).generate_state(4, uint64)`` as ints."""
+    words = [seed & _M32]  # the entropy in 32-bit words, least significant first
+    while seed >> 32 * len(words):
+        words.append(seed >> 32 * len(words) & _M32)
+    hash_a = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * _MULT_A & _M32
+        value = value * hash_a & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (_MIX_L * x - _MIX_R * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out, hash_b = [], _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * _MULT_B & _M32
+        value = value * hash_b & _M32
+        out.append(value ^ value >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _affine(a: int, c: int, hi, lo, t0, t1, t2, t3) -> None:
+    """(hi, lo) <- a * (hi, lo) + c mod 2**128 in place, each 128-bit number
+    held as its high and low uint64 words; t0..t3 are work arrays."""
+    a_hi, a_lo, a0, a1 = a >> 64, a & _M64, a & _M32, a >> 32 & _M32
+    # the high word of lo * a_lo from 32-bit halves (Hacker's Delight, mulhu)
+    np.bitwise_and(lo, _M32, out=t0)
+    np.right_shift(lo, 32, out=t1)
+    np.multiply(t1, a0, out=t2)
+    t1 *= a1
+    np.multiply(t0, a0, out=t3)
+    t3 >>= 32
+    t2 += t3
+    t0 *= a1
+    np.bitwise_and(t2, _M32, out=t3)
+    t0 += t3
+    t2 >>= 32
+    t1 += t2
+    t0 >>= 32
+    t1 += t0
+    hi *= a_lo
+    hi += t1
+    np.multiply(lo, a_hi, out=t1)
+    hi += t1
+    hi += c >> 64
+    lo *= a_lo
+    lo += c & _M64
+    np.less(lo, c & _M64, out=t1)  # the carry of the low word
+    hi += t1
+
+
+def _unit_draws(hi, lo, out, low: float, span: float, t0, t1, t2) -> None:
+    """out = low + span * (x >> 11) * 2**-53 of each state's XSL-RR output
+    x = rotr(hi ^ lo, hi >> 58); hi and lo are left as they are."""
+    np.bitwise_xor(hi, lo, out=t0)
+    np.right_shift(hi, 58, out=t1)
+    np.right_shift(t0, t1, out=t2)
+    np.subtract(64, t1, out=t1)
+    t1 &= 63
+    t0 <<= t1
+    t0 |= t2
+    t0 >>= 11
+    np.multiply(t0, 1.0 / 9007199254740992.0, out=out)
+    out *= span
+    out += low
+
+
+#: draws per pass of an array draw: its work arrays stay in cache
+_BLOCK = 8192
+
+
+class Uniform:
+    """Seeded uniform draws, bit for bit those of
+    ``numpy.random.default_rng(seed).uniform``, call after call.
+
+    The stream is numpy's: ``SeedSequence(seed).generate_state(4, uint64)``
+    seeds a PCG64 (128-bit LCG, XSL-RR output), and a draw from its next
+    64-bit output x is low + (high - low) * (x >> 11) * 2**-53.  Owning it
+    keeps the import of ``numpy.random`` out of every run, and its bits
+    fixed across numpy releases, which may change a ``Generator`` method's
+    stream but not a bit generator's.  An array draw
+    forms its first block of LCG states by doubling (states k+1..2k are the
+    k-step map (a^k, c (a^k - 1) / (a - 1)) of states 1..k, in uint64 word
+    pairs) and each later block by the block-step map of the one before.
+    """
+
+    def __init__(self, seed: int):
+        require_integer("seed", seed)
+        if seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        s_hi, s_lo, i_hi, i_lo = _seed_words(int(seed))
+        self._inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        # PCG's seeding: state 0, one step, add the seed, one more step
+        self._state = ((self._inc + (s_hi << 64 | s_lo)) * _PCG_MULT + self._inc) & _M128
+
+    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
+        """A float in [low, high) for ``size`` None, else an array of that shape."""
+        low = float(low)
+        span = float(high) - low
+        if not isfinite(span):
+            raise OverflowError("high - low range exceeds valid bounds")
+        a, c = _PCG_MULT, self._inc
+        if size is None:
+            self._state = state = (self._state * a + c) & _M128
+            x = (state >> 64 ^ state) & _M64
+            rot = state >> 122
+            x = (x >> rot | x << (-rot & 63)) & _M64
+            return low + span * ((x >> 11) * (1.0 / 9007199254740992.0))
+        shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
+        m = prod(shape)
+        out = np.empty(m)
+        if m == 0:
+            return out.reshape(shape)
+        block = min(m, _BLOCK)
+        hi, lo = np.empty(block, np.uint64), np.empty(block, np.uint64)
+        work = np.empty((4, block), np.uint64)
+        state = (self._state * a + c) & _M128
+        hi[0], lo[0] = state >> 64, state & _M64
+        k = 1
+        while k < block:  # ends with the block-step map when another block follows
+            j = min(k, block - k)
+            hi[k:k + j], lo[k:k + j] = hi[:j], lo[:j]
+            _affine(a, c, hi[k:k + j], lo[k:k + j], *work[:, :j])
+            a, c = a * a & _M128, (a * c + c) & _M128
+            k += j
+        for start in range(0, m, block):
+            if start:
+                _affine(a, c, hi, lo, *work)
+            j = min(block, m - start)
+            _unit_draws(hi[:j], lo[:j], out[start:start + j], low, span, *work[:3, :j])
+        self._state = int(hi[j - 1]) << 64 | int(lo[j - 1])
+        return out.reshape(shape)
 
 
 def spectrum_distance(lhs, rhs) -> float:

@@ -25,7 +25,7 @@ from .edmd import (Dictionary, KoopmanModel, LiftedData, SnapshotSequence,
                    centralized_solve, lift, parse_dictionary, rollout)
 from .graphs import (DisconnectedGraphError, Graph, GraphError, is_connected, laplacian,
                      preset_graph)
-from .linalg import eigenvalues, require_integer
+from .linalg import Uniform, eigenvalues, require_integer
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,15 @@ class GridScenario:
 
 
 def initial_frame(scn: GridScenario) -> np.ndarray:
-    """Seeded sum of Gaussian blobs with wrapped distances, scaled into [0, 1]."""
+    """Seeded sum of Gaussian blobs with wrapped distances, scaled into [0, 1].
+
+    Each blob draws its center, width and amplitude from
+    :class:`~dkoopman.linalg.Uniform` of the scenario seed: the draws of
+    ``numpy.random.default_rng(seed).uniform``, bit for bit, without
+    importing ``numpy.random``.
+    """
     g = scn.grid_side
-    rng = np.random.default_rng(scn.seed)
+    rng = Uniform(scn.seed)
     field = np.zeros((g, g))
     rows, cols = np.meshgrid(np.arange(g), np.arange(g), indexing="ij")
     for _ in range(scn.blob_count):

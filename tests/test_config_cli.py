@@ -705,6 +705,17 @@ def test_zero_start_forms_no_agent_state(tmp_path, monkeypatch):
     assert made == []
 
 
+def test_sweep_draws_a_random_start_once(tmp_path, monkeypatch):
+    drawn, operators = [], consensus.Start.operators
+    monkeypatch.setattr(consensus.Start, "operators",
+                        lambda start, p, n: drawn.append(start) or operators(start, p, n))
+    cfg = small_config(out_dir=str(tmp_path / "s"), t_max=200,
+                       init={"mode": "random", "seed": 3})
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["alpha-sweep", "--config", path, "--thetas", "0.5,1.5,3.0"]) == 0
+    assert drawn == [consensus.Start("random", 3)]
+
+
 class TestBenchmarkCommand:
     def test_three_positive_timings(self, tmp_path):
         out = tmp_path / "bench"
@@ -716,6 +727,12 @@ class TestBenchmarkCommand:
                     "distributed_total_ms"):
             assert bench[key] > 0.0
         assert bench["repeats"] == 3
+
+    def test_first_build_time(self, tmp_path):
+        out = tmp_path / "bench"
+        cfg = small_config(out_dir=str(out), t_max=300, benchmark_repeats=1)
+        assert cli.main(["benchmark", "--config", write_config(tmp_path, cfg)]) == 0
+        assert dataio.read_json(out / "benchmark.json")["build_instance_ms"] > 0.0
 
     def test_env_block(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -1072,6 +1089,29 @@ def test_cli_import_leaves_scipy_optimize_out():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_runs_leave_numpy_random_out(tmp_path):
+    # the seeded draws come from linalg.Uniform, so no run pays for the
+    # import of numpy.random.  One interpreter runs every command
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = [("experiment", small_config(t_max=300)),
+            ("alpha-sweep", small_config(t_max=300, init={"mode": "random", "seed": 3},
+                                         sweep_thetas=[0.5, 3.0])),
+            ("experiment", small_config(t_max=300, dictionary="radial:20:0.5")),
+            ("gen", small_config()),
+            ("benchmark", small_config(t_max=300, benchmark_repeats=1))]
+    argvs = [[command, "--config", write_config(tmp_path, cfg, f"config{k}.json"),
+              "--out", str(tmp_path / f"out{k}")] for k, (command, cfg) in enumerate(runs)]
+    code = ("import json, sys\nfrom dkoopman import cli\n"
+            "seen = [(argv[0], cli.main(argv), 'numpy.random' in sys.modules)"
+            " for argv in json.loads(sys.argv[1])]\nprint(json.dumps(seen))")
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                            capture_output=True, text=True, check=True, timeout=300)
+    seen = json.loads(result.stdout.strip().splitlines()[-1])
+    assert seen == [[command, 0, False] for command, _ in runs]
 
 
 def _max_diff_over_kstar(out, cfg_path):

@@ -60,6 +60,16 @@ class TestBuildGraph:
             build_graph(p, [])
         assert build_graph(np.int64(2), [(0, 1)]).p == 2
 
+    @pytest.mark.parametrize("vertex", [0.7, 2.9, True, 1.0, "1", None])
+    def test_vertex_id_must_be_an_integer(self, vertex):
+        # int() would truncate 0.7 and 2.9 to an edge (0, 2) and read True as 1
+        with pytest.raises(GraphError, match=f"^vertex id must be an integer, got {vertex!r}$"):
+            build_graph(3, [(vertex, 2)])
+        with pytest.raises(GraphError, match=f"^vertex id must be an integer, got {vertex!r}$"):
+            build_graph(3, [(2, vertex)])
+        g = build_graph(3, [(np.int64(0), np.uint8(2))])
+        assert g.edges == ((0, 2),) and type(g.edges[0][0]) is int
+
 
 class TestConnectivity:
     def test_triangle_connected(self):

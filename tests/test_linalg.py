@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dkoopman.linalg import (DimensionError, NotPSDError, Spectrum, eigenvalues,
+from dkoopman import consensus, edmd, linalg, scenario
+from dkoopman.linalg import (DimensionError, NotPSDError, Spectrum, Uniform, eigenvalues,
                              frobenius_norm, pseudoinverse, psd_sqrt, range_svd,
                              spectrum_distance)
 
@@ -216,3 +217,70 @@ class TestFrobeniusNorm:
         rng = np.random.default_rng(0)
         a = rng.standard_normal((4, 6))
         assert frobenius_norm(a) == pytest.approx(np.sqrt(np.trace(a.T @ a)))
+
+
+def _bits(x) -> np.ndarray:
+    """The float64 bit patterns of a draw, a Python float included."""
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestUniform:
+    """``Uniform(seed)`` against ``numpy.random.default_rng(seed)``, bit for bit."""
+
+    SEEDS = [*range(300), 2**32, 2**64 + 5, 2**200 + 3]
+    # scalar and array draws, an empty one (which draws nothing) in between
+    CALLS = [(0.0, 1.0, None), (-1.0, 1.0, 2), (0.0, 4, (16, 16)), (0.0, 1.0, 0),
+             (0.5, 1.0, (37, 2)), (2.0, 3.5, (3, 5, 7)), (-3.0, -1.0, None)]
+
+    def assert_same(self, ours, theirs, label):
+        assert type(ours) is type(theirs), label
+        assert np.shape(ours) == np.shape(theirs), label
+        np.testing.assert_array_equal(_bits(ours), _bits(theirs), err_msg=str(label))
+
+    def test_matches_default_rng_call_after_call(self):
+        for seed in self.SEEDS:
+            ours, theirs = Uniform(seed), np.random.default_rng(seed)
+            for call in self.CALLS:
+                self.assert_same(ours.uniform(*call), theirs.uniform(*call), (seed, call))
+
+    def test_large_draws(self):
+        # several blocks of states, and a last block cut short; the stream
+        # then goes on as numpy's does
+        ours, theirs = Uniform(11), np.random.default_rng(11)
+        for size in ((400, 400), linalg._BLOCK * 2 + 3, (3, 5)):
+            self.assert_same(ours.uniform(-1.0, 1.0, size), theirs.uniform(-1.0, 1.0, size), size)
+        self.assert_same(ours.uniform(), theirs.uniform(), "after")
+
+    @pytest.mark.parametrize("seed", [0, 5, 7, 2**32])
+    def test_pipeline_draws_match_numpy(self, monkeypatch, seed):
+        # the same pipeline code drawing from numpy's generator is the oracle:
+        # three draws per blob, the radial centres, p draws of n x n
+        def draws():
+            scn = scenario.GridScenario(grid_side=6, blob_count=4, seed=seed)
+            return (scenario.initial_frame(scn),
+                    edmd.parse_dictionary("radial:20:0.5", 36, seed).centers,
+                    *consensus.Start("random", seed).operators(3, 16))
+
+        ours = draws()
+        for module in (scenario, edmd, consensus):
+            monkeypatch.setattr(module, "Uniform", np.random.default_rng)
+        for a, b in zip(ours, draws(), strict=True):
+            self.assert_same(a, b, seed)
+
+    @pytest.mark.parametrize("seed", [-1, -2**64])
+    def test_negative_seed_refused(self, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            Uniform(seed)
+        with pytest.raises(ValueError):
+            np.random.default_rng(seed)
+
+    @pytest.mark.parametrize("seed", [True, 1.0, "1", None])
+    def test_non_integer_seed_refused(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            Uniform(seed)
+
+    def test_infinite_range_refused(self):
+        with pytest.raises(OverflowError):
+            Uniform(0).uniform(-1e308, 1e308)
+        with pytest.raises(OverflowError):
+            np.random.default_rng(0).uniform(-1e308, 1e308)
