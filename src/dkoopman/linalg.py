@@ -304,18 +304,15 @@ class Uniform:
         self._state = ((self._inc + (s_hi << 64 | s_lo)) * _PCG_MULT + self._inc) & _M128
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        """A float in [low, high) for ``size`` None, else an array of that shape."""
+        """A float in [low, high) for ``size`` None, else an array of that shape;
+        the float is the one element of a draw of size 1."""
+        if size is None:
+            return float(self.uniform(low, high, 1)[0])
         low = float(low)
         span = float(high) - low
         if not isfinite(span):
             raise OverflowError("high - low range exceeds valid bounds")
         a, c = _PCG_MULT, self._inc
-        if size is None:
-            self._state = state = (self._state * a + c) & _M128
-            x = (state >> 64 ^ state) & _M64
-            rot = state >> 122
-            x = (x >> rot | x << (-rot & 63)) & _M64
-            return low + span * ((x >> 11) * (1.0 / 9007199254740992.0))
         shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
         m = prod(shape)
         out = np.empty(m)

@@ -3,8 +3,9 @@
 None of these runs in the pipeline: each restates, in its plainest dense
 form, a quantity that the package computes another way (the solver's KKT
 residual and fit metric in reduced coordinates, the frame map in
-preallocated frames), or the other half of a round trip that the package
-only reads (graph text, spectrum CSV).
+preallocated frames, the initial frame's blobs from one draw), or the
+other half of a round trip that the package only reads (graph text,
+spectrum CSV).
 """
 
 import numpy as np
@@ -76,3 +77,26 @@ def advance(frame, scn: GridScenario) -> np.ndarray:
     out = np.empty_like(u)
     _step(u, scn, _advection_plan(*scn.drift, u.shape), out, np.empty((2, *u.shape)))
     return out
+
+
+def per_blob_frame(scn: GridScenario) -> np.ndarray:
+    """The initial frame with three draws per blob from numpy's own generator:
+    uniform(0, g, 2) for the center, uniform(g/8, g/4) for the width and
+    uniform(0.5, 1) for the amplitude."""
+    g = scn.grid_side
+    rng = np.random.default_rng(scn.seed)
+    field = np.zeros((g, g))
+    rows, cols = np.meshgrid(np.arange(g), np.arange(g), indexing="ij")
+    for _ in range(scn.blob_count):
+        cx, cy = rng.uniform(0.0, g, size=2)
+        sigma = rng.uniform(g / 8.0, g / 4.0)
+        amp = rng.uniform(0.5, 1.0)
+        dx = np.abs(rows - cx)
+        dy = np.abs(cols - cy)
+        dx = np.minimum(dx, g - dx)
+        dy = np.minimum(dy, g - dy)
+        field += amp * np.exp(-(dx**2 + dy**2) / (2.0 * sigma**2))
+    peak = field.max()
+    if peak > 0:
+        field = field / peak
+    return np.clip(field, 0.0, 1.0)

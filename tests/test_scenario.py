@@ -15,7 +15,7 @@ from dkoopman.linalg import eigenvalues, range_svd, spectrum_distance
 from dkoopman.scenario import (GridScenario, Rollout, _operator_spectrum, build_instance,
                                make_experiment, sequential_widths, simulate_frames)
 
-from oracles import _advect, advance
+from oracles import _advect, advance, per_blob_frame
 
 DESK = GridScenario(grid_side=4, num_agents=3, snapshots_per_agent=8, blob_count=6,
                     drift=(1.0, 0.0), diffusion=0.0, saturation_gain=1.0, seed=5,
@@ -90,6 +90,23 @@ class TestGenerate:
         frames = simulate_frames(scn, scn.num_samples + 1)
         for k in range(1, frames.shape[0]):
             assert np.array_equal(frames[k], frames[0])
+
+    def test_initial_frame_matches_the_per_blob_draws(self, monkeypatch):
+        # one draw per scenario, bit for bit the frame of three draws per blob
+        calls = []
+        uniform = scenario.Uniform.uniform
+
+        def counted(rng, *args, **kwargs):
+            calls.append(args)
+            return uniform(rng, *args, **kwargs)
+
+        monkeypatch.setattr(scenario.Uniform, "uniform", counted)
+        cases = [GridScenario(grid_side=g, blob_count=blobs, seed=seed)
+                 for seed in range(300) for g in (4, 20) for blobs in (0, 1, 3, 6)]
+        for scn in cases:
+            ours, oracle = scenario.initial_frame(scn), per_blob_frame(scn)
+            assert np.array_equal(ours.view(np.uint64), oracle.view(np.uint64)), scn
+        assert len(calls) == len(cases)
 
     def test_shape(self):
         assert simulate_frames(DESK, DESK.num_samples + 1).shape == (25, 4, 4)
