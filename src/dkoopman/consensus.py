@@ -460,11 +460,10 @@ class _Reduced:
     every nonzero start, whose n or more start columns leave nothing to
     save, H is None and d = n.
 
-    The start is a :class:`Start` or a list of p n x n agent states (from
-    :func:`_read_start`), only read; the gains need an explicit alpha.  A
-    zero ``Start`` forms no n x n array; a random one draws its K_i(0) one
-    agent at a time, as :func:`initial_states` does, and each is dropped
-    once it is reduced.
+    The start is a :class:`Start` or a sequence of p n x n agent states, only
+    read; the gains need an explicit alpha.  A zero ``Start`` forms no n x n
+    array; a random one draws its K_i(0) one agent at a time, as
+    :func:`initial_states` does, and each is dropped once it is reduced.
 
     The state is one C-contiguous 2p x (b*d + q) array whose row j holds
     vec(W_j^T H) (j <= p), vec(S_j^T H) (j > p), then the j-th complement
@@ -587,13 +586,6 @@ class ReducedStates(Sequence):
         return self._red.lift(self._Z[:self._red.p].mean(axis=0))
 
 
-def _read_start(init):
-    """A :class:`Start` as it is, else its agent states read once into a list
-    (a :class:`ReducedStates` lifts its items on every read), by index up to
-    its length, so a one-shot iterator, which has no length, is refused."""
-    return init if isinstance(init, Start) else [init[i] for i in range(len(init))]
-
-
 def _round(Z, out, red: _Reduced):
     """One synchronous round from state Z into state ``out``, both given as
     :meth:`_Reduced.views`.
@@ -692,7 +684,6 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     """
     if not is_connected(graph):
         raise DisconnectedGraphError("solver requires a connected communication graph")
-    init = _read_start(init)
     if not isinstance(init, Start) and any(s.R.any() for s in init):
         raise ValueError("integral states must start at zero")
     red = _Reduced(init, graph, gains, part, data)
@@ -797,7 +788,7 @@ def iterate_rounds(states, graph: Graph, gains: SolverGains, part: Partition,
     """
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
-    red = _Reduced(_read_start(states), graph, gains, part, data)
+    red = _Reduced(states, graph, gains, part, data)
     Z, out = red.Z0, np.empty_like(red.Z0)
     Zv, outv = red.views(Z), red.views(out)
     for _ in range(rounds):

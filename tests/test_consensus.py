@@ -444,7 +444,7 @@ class TestRun:
     ("alpha_fraction", StepSizeError, "SpectralReport.step_size"),
     ("state count", ValueError, "got 3 states"),
     ("state shape", ValueError, r"state shapes \[\(2, 2\), \(2, 2\)\]"),
-    ("one-shot iterator", TypeError, "has no len"),  # its len is taken before it is read
+    ("one-shot iterator", TypeError, "has no len"),  # the states are read more than once
 ])
 @pytest.mark.parametrize("entry", ["run", "iterate_rounds"])
 def test_one_contract_for_both_entry_points(entry, case, error, match):
@@ -1313,26 +1313,6 @@ class TestReducedStates:
         for i in (3, -4):
             with pytest.raises(IndexError):
                 states[i]
-
-    def test_a_start_of_reduced_states_is_lifted_once(self, monkeypatch):
-        # step and run read a ReducedStates start once: one lift of each K_i
-        # and R_i, 2p = 6 for three agents
-        inst = _desk_instance()
-        gains = SolverGains(k_P=5.0, k_I=2.0, alpha=0.01, t_max=10, stop_tol=0.0)
-        start = iterate_rounds(Start("random", 3), inst.graph, gains, inst.partition,
-                               inst.data, 0)  # R_i = 0, as run needs
-        lifts = []
-        lift = _Reduced.lift
-
-        def counted(red, z):
-            lifts.append(z)
-            return lift(red, z)
-
-        monkeypatch.setattr(_Reduced, "lift", counted)
-        for entry in (step, lambda *args: run(*args)[0]):
-            lifts.clear()
-            entry(start, inst.graph, gains, inst.partition, inst.data)
-            assert len(lifts) == 6
 
 
 class TestTailContraction:

@@ -254,7 +254,7 @@ class TestUniform:
     @pytest.mark.parametrize("seed", [0, 5, 7, 2**32])
     def test_pipeline_draws_match_numpy(self, monkeypatch, seed):
         # the same pipeline code drawing from numpy's generator is the oracle:
-        # three draws per blob, the radial centres, p draws of n x n
+        # one (blob_count, 4) draw for the blobs, the radial centres, p draws of n x n
         def draws():
             scn = scenario.GridScenario(grid_side=6, blob_count=4, seed=seed)
             return (scenario.initial_frame(scn),
