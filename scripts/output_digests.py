@@ -236,6 +236,16 @@ def main_digests(root: Path, keep: Path | None, against: Path | None) -> int:
     return 0
 
 
+def prepare(root: Path) -> None:
+    """Set up the process to run the package of the checkout ``root``; call
+    before the package, and so numpy, loads.  The outputs must not depend
+    on the thread count, and nothing is written inside the checkout."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(root / "src"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).parents[1],
@@ -247,13 +257,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.keep is not None and args.keep.exists() and any(args.keep.iterdir()):
         parser.error(f"--keep directory {args.keep} is not empty")
-    # before the package, and so numpy, loads: the digests must not depend
-    # on the thread count, and nothing is written inside the checkout
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-    sys.dont_write_bytecode = True
     root = args.checkout.resolve()
-    sys.path.insert(0, str(root / "src"))
+    prepare(root)
     return main_digests(root, args.keep, args.against)
 
 

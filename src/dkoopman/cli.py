@@ -164,41 +164,42 @@ def _benchmark_env(cfg: RunConfig) -> dict:
     }
 
 
+BENCHMARK_REPEATS = 5
+
+
+def _timed_ms(call, *args, **kwargs) -> tuple[float, object]:
+    """The wall-clock milliseconds of ``call(*args, **kwargs)``, and its result."""
+    t0 = time.perf_counter()
+    result = call(*args, **kwargs)
+    return 1e3 * (time.perf_counter() - t0), result
+
+
 def cmd_benchmark(cfg: RunConfig) -> int:
     graph = _resolve_graph(cfg)
     # the process's first build: lazy imports and first draws land here
-    t0 = time.perf_counter()
-    inst = build_instance(cfg.scenario, graph, cfg.dictionary, rank_tol=cfg.rank_tol)
-    build_ms = 1e3 * (time.perf_counter() - t0)
+    build_ms, inst = _timed_ms(build_instance, cfg.scenario, graph, cfg.dictionary,
+                               rank_tol=cfg.rank_tol)
     base = cfg.solver_gains()
     report = spectral_report(inst.partition, inst.data, laplacian(inst.graph),
                              base.k_P, base.k_I)
     alpha = report.step_size(base)
     gains = manual_gains(base, alpha)
-    reps = cfg.benchmark_repeats
     rounds = min(200, gains.t_max)
+    inputs = (cfg.init, inst.graph, gains, inst.partition, inst.data)
 
     # the full run first: a diverging step size would overflow the fixed rounds
     total_ms = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        _, trace = run(cfg.init, inst.graph, gains, inst.partition, inst.data)
-        total_ms.append(1e3 * (time.perf_counter() - t0))
+    for _ in range(BENCHMARK_REPEATS):
+        ms, (_, trace) = _timed_ms(run, *inputs)
+        total_ms.append(ms)
         if trace.diverged:
             return _divergence(trace.iterations, alpha, report.alpha_max)
-
-    central_ms = []
-    for _ in range(reps):
-        data = LiftedData(inst.data.X, inst.data.Y, cfg.rank_tol)  # its SVD is not yet taken
-        t0 = time.perf_counter()
-        centralized_solve(data)
-        central_ms.append(1e3 * (time.perf_counter() - t0))
-
-    iter_ms = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        iterate_rounds(cfg.init, inst.graph, gains, inst.partition, inst.data, rounds)
-        iter_ms.append(1e3 * (time.perf_counter() - t0) / rounds)
+    # a fresh data each time, built outside the timer: its SVD is not yet taken
+    fresh = (inst.data.X, inst.data.Y, cfg.rank_tol)
+    central_ms = [_timed_ms(centralized_solve, LiftedData(*fresh))[0]
+                  for _ in range(BENCHMARK_REPEATS)]
+    iter_ms = [_timed_ms(iterate_rounds, *inputs, rounds)[0] / rounds
+               for _ in range(BENCHMARK_REPEATS)]
 
     out = Path(cfg.out_dir)
     dataio.write_json(out / "benchmark.json", {
@@ -208,7 +209,7 @@ def cmd_benchmark(cfg: RunConfig) -> int:
         "distributed_total_ms": float(np.median(total_ms)),
         "run_iterations": trace.iterations,
         "rounds_timed": rounds,
-        "repeats": reps,
+        "repeats": BENCHMARK_REPEATS,
         "env": _benchmark_env(cfg),
     })
     print(f"benchmark written to {out / 'benchmark.json'}")
@@ -266,6 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {"experiment": cmd_experiment, "alpha-sweep": cmd_alpha_sweep,
+            "benchmark": cmd_benchmark, "gen": cmd_gen}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -273,21 +278,13 @@ def main(argv=None) -> int:
             return cmd_solve_central(args.x_csv, args.y_csv, args.out)
         cfg = load_config(args.config, scale=args.scale, seed=args.seed,
                           out_dir=args.out)
-        if args.command == "experiment":
-            return cmd_experiment(cfg)
-        if args.command == "alpha-sweep":
-            if args.thetas is not None:
-                try:
-                    thetas = [float(v) for v in args.thetas.split(",") if v.strip()]
-                except ValueError as exc:
-                    raise ConfigError(f"bad --thetas value: {exc}") from exc
-                cfg = from_dict({**to_dict(cfg), "sweep_thetas": thetas})
-            return cmd_alpha_sweep(cfg)
-        if args.command == "benchmark":
-            return cmd_benchmark(cfg)
-        if args.command == "gen":
-            return cmd_gen(cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        if getattr(args, "thetas", None) is not None:  # alpha-sweep's flag
+            try:
+                thetas = [float(v) for v in args.thetas.split(",") if v.strip()]
+            except ValueError as exc:
+                raise ConfigError(f"bad --thetas value: {exc}") from exc
+            cfg = from_dict({**to_dict(cfg), "sweep_thetas": thetas})
+        return COMMANDS[args.command](cfg)
     except DisconnectedGraphError as exc:
         print(f"graph error: {exc}", file=sys.stderr)
         return 3

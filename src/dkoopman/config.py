@@ -76,7 +76,6 @@ class RunConfig:
     rank_tol: float | None = None
     out_dir: str = "out"
     sweep_thetas: tuple[float, ...] = (0.3, 0.5, 0.9)
-    benchmark_repeats: int = 5
 
     def __post_init__(self):
         try:  # dry run: a bad spec fails here, before any computation
@@ -89,8 +88,6 @@ class RunConfig:
             raise ValueError("rank_tol must be nonnegative")
         if not self.sweep_thetas or any(v <= 0 for v in self.sweep_thetas):
             raise ValueError("sweep_thetas needs one or more values, all positive")
-        if self.benchmark_repeats < 1:
-            raise ValueError("benchmark_repeats must be positive")
         self.solver_gains()  # dry run, like the dictionary's
 
     def solver_gains(self) -> SolverGains:

@@ -155,18 +155,16 @@ def _step(u: np.ndarray, scn: GridScenario, plan: tuple, out: np.ndarray,
     v = _diffuse(_shift(u, plan), scn.diffusion)
     gain = scn.saturation_gain
     # the blend (1 - gain) u + gain * 4 u (1 - u) toward the full logistic
-    # map; [0, 1] is exactly invariant for gain in [0, 1], and gain 0 is the
-    # identity.  The ufuncs run in the order of that expression, so the
-    # bits are those of evaluating it into fresh arrays.
-    if gain == 0.0:
-        np.copyto(out, v)
-    else:
-        logistic, one_minus = tmp
-        np.multiply(1.0 - gain, v, out=out)
-        np.multiply(gain * 4.0, v, out=logistic)
-        np.subtract(1.0, v, out=one_minus)
-        logistic *= one_minus
-        out += logistic
+    # map; [0, 1] is exactly invariant for gain in [0, 1], and at gain 0 it
+    # is 1.0 * u + (+0.0), u bit for bit.  The ufuncs run in the order of
+    # that expression, so the bits are those of evaluating it into fresh
+    # arrays.
+    logistic, one_minus = tmp
+    np.multiply(1.0 - gain, v, out=out)
+    np.multiply(gain * 4.0, v, out=logistic)
+    np.subtract(1.0, v, out=one_minus)
+    logistic *= one_minus
+    out += logistic
     # np.clip's bits for every value but -0.0, which the map never makes:
     # the frames start at or above +0.0, and an exact cancellation rounds
     # to +0.0

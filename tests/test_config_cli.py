@@ -719,18 +719,24 @@ def test_sweep_draws_a_random_start_once(tmp_path, monkeypatch):
 class TestBenchmarkCommand:
     def test_three_positive_timings(self, tmp_path):
         out = tmp_path / "bench"
-        cfg = small_config(out_dir=str(out), t_max=300, benchmark_repeats=3)
+        cfg = small_config(out_dir=str(out), t_max=300)
         rc = cli.main(["benchmark", "--config", write_config(tmp_path, cfg)])
         assert rc == 0
         bench = dataio.read_json(out / "benchmark.json")
         for key in ("centralized_solve_ms", "distributed_iteration_ms",
                     "distributed_total_ms"):
             assert bench[key] > 0.0
-        assert bench["repeats"] == 3
+        assert bench["repeats"] == 5
+
+    def test_repeat_count_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = small_config(out_dir=str(tmp_path / "bench"), t_max=300, benchmark_repeats=3)
+        assert cli.main(["benchmark", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown config keys ['benchmark_repeats']\n")
 
     def test_first_build_time(self, tmp_path):
         out = tmp_path / "bench"
-        cfg = small_config(out_dir=str(out), t_max=300, benchmark_repeats=1)
+        cfg = small_config(out_dir=str(out), t_max=300)
         assert cli.main(["benchmark", "--config", write_config(tmp_path, cfg)]) == 0
         assert dataio.read_json(out / "benchmark.json")["build_instance_ms"] > 0.0
 
@@ -738,7 +744,7 @@ class TestBenchmarkCommand:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         out = tmp_path / "bench"
-        cfg = small_config(out_dir=str(out), t_max=300, benchmark_repeats=1)
+        cfg = small_config(out_dir=str(out), t_max=300)
         assert cli.main(["benchmark", "--config", write_config(tmp_path, cfg)]) == 0
         env = dataio.read_json(out / "benchmark.json")["env"]
         assert set(env) == {"cpu_count", "blas", "blas_threads", "PYTHONDONTWRITEBYTECODE",
@@ -928,12 +934,11 @@ TINY = {"scale": "desk",
         "graph": {"preset": "ring"}, "gains": {"k_P": 5.0, "k_I": 2.0, "theta": 0.5},
         "t_max": 20, "stop_tol": 1e-10, "init": {"mode": "zeros", "seed": 0},
         "rollout": {"steps": 2, "start": "last_train"}, "dictionary": "vectorization",
-        "rank_tol": None, "sweep_thetas": [0.5], "benchmark_repeats": 1}
+        "rank_tol": None, "sweep_thetas": [0.5]}
 # leaves that set how much a run computes: no size guard refuses a huge one yet
 SIZE_LEAVES = {("scenario", "grid_side"), ("scenario", "num_agents"),
                ("scenario", "snapshots_per_agent"), ("scenario", "blob_count"),
-               ("scenario", "burn_in"), ("t_max",), ("rollout", "steps"),
-               ("benchmark_repeats",)}
+               ("scenario", "burn_in"), ("t_max",), ("rollout", "steps")}
 MALFORMED = [None, True, -1, 0, 1, 2.5, 101, 10**400, -1e308, 1e308, float("nan"),
              float("inf"), "", "x", "radial:2:nan", [], [1], {}, {"x": 1}]
 
@@ -1102,7 +1107,7 @@ def test_cli_runs_leave_numpy_random_out(tmp_path):
                                          sweep_thetas=[0.5, 3.0])),
             ("experiment", small_config(t_max=300, dictionary="radial:20:0.5")),
             ("gen", small_config()),
-            ("benchmark", small_config(t_max=300, benchmark_repeats=1))]
+            ("benchmark", small_config(t_max=300))]
     argvs = [[command, "--config", write_config(tmp_path, cfg, f"config{k}.json"),
               "--out", str(tmp_path / f"out{k}")] for k, (command, cfg) in enumerate(runs)]
     code = ("import json, sys\nfrom dkoopman import cli\n"
