@@ -27,7 +27,13 @@ Runs, each into its own directory under one temporary directory (or under
   graph, the rollout from the first training frame and ``t_max`` 300 (all
   four bilinear advection terms, the diffusion step, and the star preset);
 * ``solve-central`` on the desk seed-5 ``X.csv`` and ``Y.csv``, written into
-  the run's own directory, so they are digested too.
+  the run's own directory, so they are digested too;
+* ``experiment`` on desk with ``rank_tol`` 0.698 (the README's example: rank
+  15);
+* ``experiment`` on desk with ``gains.alpha`` 0.01 on the path preset and
+  ``t_max`` 500;
+* ``experiment`` on desk with the dictionary ``monomial:2`` and ``t_max`` 300;
+* ``experiment`` on desk with ``blob_count`` 0.
 
 Prints one line per output file, ``<sha256>  <run>/<file>``, in the run
 order above and by file name within a run.  BLAS is pinned to one thread
@@ -73,6 +79,14 @@ COMPLETE4_DESK = {"scale": "desk", "scenario": {"num_agents": 4, "snapshots_per_
 DRIFT_DIFFUSE_DESK = {"scale": "desk", "scenario": {"drift": [0.5, 0.25], "diffusion": 0.1},
                       "graph": {"preset": "star"}, "rollout": {"start": "first_train"},
                       "t_max": 300}
+# one documented config value each that the runs above leave at its default
+DOCUMENTED_DESK = {
+    "desk-rank-tol": {"scale": "desk", "rank_tol": 0.698},
+    "desk-alpha-path": {"scale": "desk", "gains": {"alpha": 0.01}, "graph": {"preset": "path"},
+                        "t_max": 500},
+    "desk-monomial": {"scale": "desk", "dictionary": "monomial:2", "t_max": 300},
+    "desk-no-blobs": {"scale": "desk", "scenario": {"blob_count": 0}},
+}
 
 
 def runs(configs: Path, tmp: Path, out_root: Path) -> list[tuple[str, list[str]]]:
@@ -99,6 +113,8 @@ def runs(configs: Path, tmp: Path, out_root: Path) -> list[tuple[str, list[str]]
     complete4_cfg.write_text(json.dumps(COMPLETE4_DESK), encoding="utf-8")
     drift_cfg = tmp / "desk_drift_diffuse.json"
     drift_cfg.write_text(json.dumps(DRIFT_DIFFUSE_DESK), encoding="utf-8")
+    for name, config in DOCUMENTED_DESK.items():
+        (tmp / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
     central = out_root / "solve-central-desk-seed5"
     cfg = load_config(configs / "desk.json", seed=5)
     data = build_instance(cfg.scenario, cfg.graph.preset, cfg.dictionary).data
@@ -123,7 +139,9 @@ def runs(configs: Path, tmp: Path, out_root: Path) -> list[tuple[str, list[str]]
             ("desk-radial", ["experiment", "--config", str(radial_cfg)]),
             ("desk-complete4", ["experiment", "--config", str(complete4_cfg)]),
             ("desk-drift-diffuse", ["experiment", "--config", str(drift_cfg)]),
-            (central.name, ["solve-central", str(central / "X.csv"), str(central / "Y.csv")])]
+            (central.name, ["solve-central", str(central / "X.csv"), str(central / "Y.csv")]),
+            *((name, ["experiment", "--config", str(tmp / f"{name}.json")])
+              for name in DOCUMENTED_DESK)]
 
 
 def _cells(path: Path) -> list[list[str]]:

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """The statements of ``src/dkoopman`` that no ``output_digests.py`` run executes.
 
-Runs the seventeen CLI runs of ``scripts/output_digests.py`` in one
-process, under a line trace limited to the package of this checkout, with
-BLAS on one thread and the outputs in a temporary directory.  A statement
+Runs the CLI runs of ``scripts/output_digests.py`` in one process, under
+a line trace limited to the package of this checkout, with BLAS on one
+thread and the outputs in a temporary directory.  A statement
 counts when it compiles to code (a function's docstring, a ``global`` line
 and the like do not) and is untaken when its first line never runs, the
 package's imports included.  Prints one ``<module>:<line>  <source>`` line

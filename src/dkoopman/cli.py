@@ -40,11 +40,6 @@ def _resolve_graph(cfg: RunConfig) -> str | Graph:
     return parse_graph_text(text)
 
 
-def _spectrum_pairs(spectrum) -> list[list[float]]:
-    values = spectrum.eigenvalues
-    return np.column_stack((values.real, values.imag)).tolist()
-
-
 def _spectral_summary(report) -> dict:
     """The step-size analysis that report.json's spectral block and sweep.json share."""
     return {"alpha_max": report.alpha_max, "rank": report.rank, "n_zero": report.n_zero,
@@ -75,10 +70,11 @@ def cmd_experiment(cfg: RunConfig) -> int:
     dataio.write_trace_csv(out / "fit_trace.csv", rep.trace)
     dataio.write_matrix_csv(out / "rollout_error.csv", rep.rollout_error)
 
+    m_tilde = rep.spectral.spectrum_M_tilde.eigenvalues
     spectral = {
         **_spectral_summary(rep.spectral),
         "zero_tol_M_tilde": rep.spectral.spectrum_M_tilde.zero_tol,
-        "spectrum_M_tilde": _spectrum_pairs(rep.spectral.spectrum_M_tilde),
+        "spectrum_M_tilde": np.column_stack((m_tilde.real, m_tilde.imag)).tolist(),
         "zero_tol_M": rep.spectral.spectrum_M.zero_tol,
     }
     dataio.write_json(out / "report.json", {

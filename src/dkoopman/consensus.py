@@ -100,9 +100,7 @@ class Partition:
 def partition_data(data: LiftedData, widths) -> Partition:
     """Contiguous temporal partition; the widths must sum to N."""
     part = Partition(tuple(widths))
-    if part.total != data.num_samples:
-        raise ValueError(
-            f"widths sum to {part.total} but data has {data.num_samples} columns")
+    part.blocks(data)  # raises unless the widths cover the N columns
     return part
 
 
@@ -650,13 +648,13 @@ def _incidence(graph: Graph) -> np.ndarray:
 
 def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedData,
         record_mean: bool = False, series: bool = True) -> tuple[ReducedStates, RunTrace]:
-    """Iterate the update law until both stopping residuals drop below stop_tol.
+    """Iterate the update law until the KKT residual drops below stop_tol.
 
     ``init`` is a :class:`Start` or a sequence of agent states; the final
     states come back as :class:`ReducedStates`, whose ``mean()`` is Kbar.
     Requires a connected graph, R_i(0) = 0 and an explicit alpha.  Stops
-    early on convergence (consensus error and KKT residual both below
-    ``gains.stop_tol``) or on divergence (any state norm exceeding 1e12
+    early on convergence (the KKT residual, which adds the consensus error,
+    below ``gains.stop_tol``) or on divergence (any state norm exceeding 1e12
     times the initial data scale; reported through ``trace.diverged``, not
     an exception; the states returned are the finite ones that entered the
     round tripping the guard, which the trace includes).  The run is a pure
@@ -665,9 +663,9 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     With ``series=False`` the trace's five series are None, and each round
     computes only the divergence guard, the mean and its step for the step
     record (and the history of ``record_mean``), and, when
-    ``gains.stop_tol`` > 0, the consensus error and KKT residual that can
-    stop the run.  Rounds, stopping, states, step record and mean history
-    are bit-identical to a run with ``series=True``.
+    ``gains.stop_tol`` > 0, the consensus error and the KKT residual that
+    adds it, which stops the run.  Rounds, stopping, states, step record
+    and mean history are bit-identical to a run with ``series=True``.
 
     The rounds and the diagnostics run in the reduced coordinates of
     :class:`_Reduced`: with B, H and Phi orthonormal, ||K_i - K_j||_F =
@@ -748,7 +746,7 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
                 norms = np.sqrt(np.einsum("kij,kij->ki", D, D))
                 cons = norms[:, :m].max(axis=1, initial=0.0)
                 kkt = norms[:, m + 1] + cons
-                met = (cons < gains.stop_tol) & (kkt < gains.stop_tol)
+                met = kkt < gains.stop_tol  # kkt adds cons, so never below it
             worst = np.sqrt(np.einsum("kij,kij->ki", Zf, Zf)).max(axis=1)
             stop = np.flatnonzero(~(worst <= guard) | met)
             if stop.size:

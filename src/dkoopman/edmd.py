@@ -68,7 +68,6 @@ def monomial_dictionary(q: int, max_degree: int) -> Dictionary:
                 e[idx] += 1
             rows.append(e)
     exponents = np.array(rows, dtype=int)
-    assert exponents.shape[0] == comb(q + max_degree, max_degree)
     return Dictionary("monomial", q, exponents.shape[0], exponents=exponents)
 
 

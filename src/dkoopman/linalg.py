@@ -130,10 +130,6 @@ class Range(NamedTuple):  # a fifth of a frozen dataclass's import time
     s: np.ndarray
     Vt: np.ndarray
 
-    @property
-    def rank(self) -> int:
-        return int(self.s.size)
-
     def pinv(self) -> np.ndarray:
         """The pseudoinverse V diag(1 / s) U^T of the kept triplets."""
         return (self.Vt.T * (1.0 / self.s)) @ self.U.T

@@ -1154,7 +1154,7 @@ class TestOneRankRule:
         # and the fourth mode contracts by 1 - 1.6e-13 per round
         cfg = load_config(None, scale="paper", seed=16)
         inst = build_instance(cfg.scenario, cfg.graph.preset, cfg.dictionary)
-        assert inst.data.range.rank == 4
+        assert inst.data.range.s.size == 4
         sigma = inst.data.range.s
         out = tmp_path / "paper16"
         path = write_config(tmp_path, {"scale": "paper", "scenario": {"seed": 16},
