@@ -39,7 +39,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import chain, cycle, islice, pairwise, repeat
 from typing import Literal
 
 import numpy as np
@@ -584,18 +584,25 @@ class ReducedStates(Sequence):
         return self._red.lift(self._Z[:self._red.p].mean(axis=0))
 
 
-def _round(Z, out, red: _Reduced):
-    """One synchronous round from state Z into state ``out``, both given as
-    :meth:`_Reduced.views`.
+def _rounds(views, red: _Reduced) -> None:
+    """Synchronous rounds through an iterable of states, given as
+    :meth:`_Reduced.views`: each round reads one state and writes the next.
 
     The Laplacian and integral coupling is one (2p x 2p) @ (2p, b*d + q)
-    matmul, the local gradients one batched (p, b, b) @ (p, b, d) matmul; the
-    dense 2pb x 2pb operator would cost 4p times the flops.
+    product, the local gradients one batched (p, b, b) @ (p, b, d) matmul; the
+    dense 2pb x 2pb operator would cost 4p times the flops.  The operands and
+    the gradient buffer are bound once per call; ``np.dot`` makes the same
+    gemm call as ``np.matmul`` on these 2-D C-contiguous operands, without
+    the gufunc dispatch.
     """
-    np.matmul(red.P, Z[0], out=out[0])
-    W = out[1]
-    W -= red.G @ Z[1]
-    W += red.C
+    P, G, C = red.P, red.G, red.C
+    grad = np.empty(C.shape)
+    dot, matmul, subtract, add = np.dot, np.matmul, np.subtract, np.add
+    for (Z, ZW), (out, W) in pairwise(views):
+        dot(P, Z, out)
+        matmul(G, ZW, grad)
+        subtract(W, grad, W)
+        add(W, C, W)
 
 
 def step(states, graph: Graph, gains: SolverGains, part: Partition,
@@ -723,8 +730,7 @@ def run(init, graph: Graph, gains: SolverGains, part: Partition, data: LiftedDat
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_max and not (converged or diverged):
             kc = min(k, t_max - t)
-            for j in range(kc):
-                _round(slots[j], slots[j + 1], red)
+            _rounds(slots[:kc + 1], red)
             # the chunk's diagnostics, each a product over all its rounds at once
             Zf = buf[1:kc + 1, :p]
             D, E = diag[:kc], res[:kc]
@@ -787,12 +793,9 @@ def iterate_rounds(states, graph: Graph, gains: SolverGains, part: Partition,
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
     red = _Reduced(states, graph, gains, part, data)
-    Z, out = red.Z0, np.empty_like(red.Z0)
-    Zv, outv = red.views(Z), red.views(out)
-    for _ in range(rounds):
-        _round(Zv, outv, red)
-        Z, out, Zv, outv = out, Z, outv, Zv
-    return ReducedStates(red, Z)
+    pair = red.views(red.Z0), red.views(np.empty_like(red.Z0))
+    _rounds(islice(cycle(pair), rounds + 1), red)  # the two buffers in turn
+    return ReducedStates(red, pair[rounds % 2][0])
 
 
 def _row_norms(A: np.ndarray) -> np.ndarray:

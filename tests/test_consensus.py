@@ -411,14 +411,28 @@ class TestRun:
         t = np.arange(1, trace.iterations + 1)
         assert np.all(trace.integral_sum_norm <= 1e-12 * t * scale)
 
-    def test_iterate_rounds_matches_run_prefix(self):
-        _, data, part, graph = self._instance(seed=18)
-        gains = SolverGains(k_P=2.0, k_I=1.0, alpha=0.01, t_max=40, stop_tol=0.0)
-        init = initial_states(2, 3, "random", 9)
-        states_run, _ = run(init, graph, gains, part, data)
-        states_it = iterate_rounds(init, graph, gains, part, data, 40)
-        for a, b in zip(states_run, states_it):
-            assert np.array_equal(a.K, b.K) and np.array_equal(a.R, b.R)
+    @pytest.mark.parametrize("init, n, widths, form", [
+        (Start(), 3, (4, 4), lambda red: red.H is None and red.d == 3),
+        (Start(), 6, (2, 2), lambda red: red.H is not None and red.d == 4),
+        (Start("random", 9), 6, (2, 2), lambda red: red.b < 6 and red.Phi is not None),
+    ], ids=["zero-d=n", "zero-H-basis", "random-complement"])
+    def test_iterate_rounds_matches_run_prefix(self, init, n, widths, form):
+        """Bit for bit, on a start of each reduced form (``form`` holds what
+        the reduced state holds), for round counts of each parity: which of
+        its two buffers iterate_rounds returns."""
+        _, data, part, graph = self._instance(seed=18, n=n, widths=widths)
+        gains = SolverGains(k_P=2.0, k_I=1.0, alpha=0.01, t_max=1, stop_tol=0.0)
+        red = consensus._Reduced(init, graph, gains, part, data)
+        assert form(red)
+        for rounds in (0, 1, 7, 40):
+            if rounds:
+                expected, trace = run(init, graph, replace(gains, t_max=rounds), part, data)
+                assert trace.iterations == rounds
+            else:
+                expected = ReducedStates(red, red.Z0)
+            got = iterate_rounds(init, graph, gains, part, data, rounds)
+            for a, b in zip(expected, got, strict=True):
+                assert np.array_equal(a.K, b.K) and np.array_equal(a.R, b.R), rounds
 
     def test_iterate_rounds_refuses_negative_rounds(self):
         data, part, graph = worked_instance()
@@ -785,7 +799,7 @@ def _reduced_path(red, rounds):
     Z, nxt = red.Z0.copy(), np.empty_like(red.Z0)
     path = []
     for _ in range(rounds):
-        consensus._round(red.views(Z), red.views(nxt), red)
+        consensus._rounds((red.views(Z), red.views(nxt)), red)
         Z, nxt = nxt, Z
         path.append(_stacked(ReducedStates(red, Z)))
     return np.array(path)  # (rounds, 2, p, n, n)
